@@ -20,15 +20,9 @@ import (
 
 // Config describes a fleet and the summaries it keeps.
 type Config struct {
-	// Nodes are the wire-v2 swatd addresses (swatd -streams). At least
-	// one of Nodes/V1Nodes must be non-empty.
+	// Nodes are the wire-v2 swatd addresses (swatd -streams); at least
+	// one is required.
 	Nodes []string
-	// V1Nodes are legacy JSON-protocol nodes kept in the ring for
-	// mixed-fleet rollouts. A v1 node folds every stream placed on it
-	// into its single tree, so per-stream reads against it are exact
-	// only while it owns one stream, and it cannot serve summaries:
-	// its streams always enter roll-ups as widened stand-ins.
-	V1Nodes []string
 
 	// WindowSize, Coefficients, MinLevel fix the per-stream tree
 	// geometry — every node must run the same (core.Options semantics).
@@ -56,8 +50,8 @@ type Config struct {
 	// Timeout is the per-node deadline scatter-gather reads arm
 	// (default 2s).
 	Timeout time.Duration
-	// Quorum is how many summary-capable nodes must answer for a
-	// gather to succeed (default: a majority of them).
+	// Quorum is how many owner nodes must answer for a gather to
+	// succeed (default: a majority of them).
 	Quorum int
 }
 
@@ -70,14 +64,12 @@ type Batch struct {
 // node is one fleet member's connection state.
 type node struct {
 	addr string
-	v1   bool
-	pool *wire.BinPool // v2 only
+	pool *wire.BinPool
 
-	// mu guards the held ingest connection (feed / v1c): stream order
-	// must survive, so one writer at a time per node.
+	// mu guards the held ingest connection: stream order must survive,
+	// so one writer at a time per node.
 	mu   sync.Mutex
 	feed *wire.BinClient
-	v1c  *wire.Client
 }
 
 // placement is one consistent view of the fleet: the ring and the node
@@ -123,14 +115,11 @@ func New(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("cluster: geometry: %w", err)
 	}
 	mopts := core.MergeOptions{ValueLo: cfg.ValueLo, ValueHi: cfg.ValueHi}
-	all := make([]string, 0, len(cfg.Nodes)+len(cfg.V1Nodes))
-	all = append(all, cfg.Nodes...)
-	all = append(all, cfg.V1Nodes...)
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	ring, err := NewRing(seed, cfg.VNodes, all)
+	ring, err := NewRing(seed, cfg.VNodes, cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -140,17 +129,9 @@ func New(cfg Config) (*Client, error) {
 		mopts: mopts,
 		sent:  make(map[string]int64),
 	}
-	v1set := make(map[string]bool, len(cfg.V1Nodes))
-	for _, a := range cfg.V1Nodes {
-		v1set[a] = true
-	}
-	p := &placement{ring: ring, nodes: make(map[string]*node, len(all))}
+	p := &placement{ring: ring, nodes: make(map[string]*node, len(cfg.Nodes))}
 	for _, a := range ring.Nodes() {
-		n := &node{addr: a, v1: v1set[a]}
-		if !n.v1 {
-			n.pool = c.newPool(a)
-		}
-		p.nodes[a] = n
+		p.nodes[a] = &node{addr: a, pool: c.newPool(a)}
 		p.order = append(p.order, a)
 	}
 	c.pl.Store(p)
@@ -287,9 +268,6 @@ func (c *Client) ObserveStream(stream string, vs []float64) error {
 func (c *Client) sendTo(p *placement, n *node, batches []Batch) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.v1 {
-		return c.sendV1(n, batches)
-	}
 	if n.feed == nil {
 		feed, err := n.pool.Get()
 		if err != nil {
@@ -313,29 +291,6 @@ func (c *Client) sendTo(p *placement, n *node, batches []Batch) error {
 	return nil
 }
 
-// sendV1 drives a legacy node over the JSON protocol: one synchronous
-// round trip per value into the node's single shared tree.
-func (c *Client) sendV1(n *node, batches []Batch) error {
-	if n.v1c == nil {
-		v1c, err := wire.Dial(n.addr)
-		if err != nil {
-			return fmt.Errorf("cluster: %s: %w", n.addr, err)
-		}
-		n.v1c = v1c
-	}
-	for _, b := range batches {
-		for i, v := range b.Values {
-			if _, err := n.v1c.Feed(v); err != nil {
-				n.v1c.Close()
-				n.v1c = nil
-				return fmt.Errorf("cluster: %s: stream %q value %d: %w", n.addr, b.Stream, i, err)
-			}
-			c.recordSent(b.Stream, 1)
-		}
-	}
-	return nil
-}
-
 func (c *Client) recordSent(stream string, nvals int64) {
 	c.regMu.Lock()
 	c.sent[stream] += nvals
@@ -345,7 +300,7 @@ func (c *Client) recordSent(stream string, nvals int64) {
 // Sync flushes every held ingest connection and pings it, bounding
 // delivery of everything shipped so far: when Sync returns nil, every
 // prior batch has been read by its server (under the block policy,
-// also enqueued). v1 nodes are synchronous by construction.
+// also enqueued).
 func (c *Client) Sync() error {
 	p := c.pl.Load()
 	var (
@@ -393,17 +348,9 @@ func (c *Client) Close() error {
 			}
 			n.feed = nil
 		}
-		if n.v1c != nil {
-			if err := n.v1c.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("cluster: %s: %w", n.addr, err))
-			}
-			n.v1c = nil
-		}
 		n.mu.Unlock()
-		if n.pool != nil {
-			if err := n.pool.Close(); err != nil {
-				errs = append(errs, fmt.Errorf("cluster: %s: %w", n.addr, err))
-			}
+		if err := n.pool.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("cluster: %s: %w", n.addr, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -415,16 +362,13 @@ type PoolStats struct {
 	wire.PoolStats
 }
 
-// Pools snapshots every v2 node pool's stats, sorted by address.
-func (c *Client) Pools() []PoolStats {
-	p := c.pl.Load()
+// Pools snapshots every node pool's stats, sorted by address.
+func (c *Client) Pools() []PoolStats { return c.pl.Load().pools() }
+
+func (p *placement) pools() []PoolStats {
 	out := make([]PoolStats, 0, len(p.order))
 	for _, addr := range p.order {
-		n := p.nodes[addr]
-		if n.pool == nil {
-			continue
-		}
-		out = append(out, PoolStats{Node: addr, PoolStats: n.pool.Stats()})
+		out = append(out, PoolStats{Node: addr, PoolStats: p.nodes[addr].pool.Stats()})
 	}
 	return out
 }

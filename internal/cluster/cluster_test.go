@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,10 @@ import (
 // testGeometry is the shared tree geometry of every test fleet.
 var testGeometry = core.Options{WindowSize: 32, Coefficients: 4, MinLevel: 2}
 
-// testNode is one running swatd-equivalent: a v2 server over a monitor,
-// or a bare single-tree server for v1.
+// testNode is one running swatd-equivalent: a v2 server over a monitor.
 type testNode struct {
 	addr string
-	mon  *multi.Monitor // nil for v1 nodes
+	mon  *multi.Monitor
 	srv  *wire.Server
 	done chan error
 	t    *testing.T
@@ -43,30 +43,26 @@ func (n *testNode) stop() {
 	}
 }
 
-// startTestNode starts a stream-capable (v2) node when withMonitor is
-// set, else a bare v1-style single-tree node.
-func startTestNode(t *testing.T, withMonitor bool) *testNode {
+// startTestNode starts a stream-capable node on a loopback port.
+func startTestNode(t *testing.T) *testNode {
 	t.Helper()
 	srv, err := wire.NewServer(testGeometry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Logf = t.Logf
-	n := &testNode{srv: srv, done: make(chan error, 1), t: t}
-	if withMonitor {
-		mon, err := multi.New(multi.Options{
-			WindowSize:   testGeometry.WindowSize,
-			Coefficients: testGeometry.Coefficients,
-			MinLevel:     testGeometry.MinLevel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.UseMonitor(mon); err != nil {
-			t.Fatal(err)
-		}
-		n.mon = mon
+	mon, err := multi.New(multi.Options{
+		WindowSize:   testGeometry.WindowSize,
+		Coefficients: testGeometry.Coefficients,
+		MinLevel:     testGeometry.MinLevel,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := srv.UseMonitor(mon); err != nil {
+		t.Fatal(err)
+	}
+	n := &testNode{srv: srv, mon: mon, done: make(chan error, 1), t: t}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +75,7 @@ func startTestNode(t *testing.T, withMonitor bool) *testNode {
 
 // testConfig builds a client config over the given nodes with the
 // shared geometry and a declared [0,100] range.
-func testConfig(v2 []*testNode, v1 []*testNode) Config {
+func testConfig(fleet []*testNode) Config {
 	cfg := Config{
 		WindowSize:   testGeometry.WindowSize,
 		Coefficients: testGeometry.Coefficients,
@@ -89,11 +85,8 @@ func testConfig(v2 []*testNode, v1 []*testNode) Config {
 		Seed:         7,
 		Timeout:      2 * time.Second,
 	}
-	for _, n := range v2 {
+	for _, n := range fleet {
 		cfg.Nodes = append(cfg.Nodes, n.addr)
-	}
-	for _, n := range v1 {
-		cfg.V1Nodes = append(cfg.V1Nodes, n.addr)
 	}
 	return cfg
 }
@@ -117,7 +110,7 @@ func spreadStreams(t *testing.T, c *Client, want int) []string {
 }
 
 // feedRows ships count rows (one value per stream per row) and waits
-// until every v2 owner applied them. Returns the per-row values,
+// until every live owner applied them. Returns the per-row values,
 // rows[i][j] = stream j's i-th value.
 func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []string, count int) [][]float64 {
 	t.Helper()
@@ -148,7 +141,7 @@ func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []str
 	for _, s := range streams {
 		n := nodes[c.Owner(s)]
 		if n == nil || n.mon == nil {
-			continue // v1 owner: Feed is synchronous
+			continue // not a local node, or stopped
 		}
 		for {
 			tr, err := n.mon.Tree(s)
@@ -183,11 +176,11 @@ func TestClientEndToEnd(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 3; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	c, err := New(testConfig(fleet, nil))
+	c, err := New(testConfig(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +297,11 @@ func TestClientPartialFailure(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 3; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	cfg := testConfig(fleet, nil)
+	cfg := testConfig(fleet)
 	cfg.Timeout = 500 * time.Millisecond
 	c, err := New(cfg)
 	if err != nil {
@@ -327,6 +320,7 @@ func TestClientPartialFailure(t *testing.T) {
 			victimStreams = append(victimStreams, s)
 		}
 	}
+	sort.Strings(victimStreams) // RollUp.Missing is sorted; "stream-10" < "stream-2"
 	victim.stop()
 
 	// Points on dead-owner streams degrade honestly.
@@ -397,11 +391,11 @@ func TestClientQuorum(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 3; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	cfg := testConfig(fleet, nil)
+	cfg := testConfig(fleet)
 	cfg.Timeout = 500 * time.Millisecond
 	cfg.Quorum = 3
 	c, err := New(cfg)
@@ -419,91 +413,6 @@ func TestClientQuorum(t *testing.T) {
 	}
 	if _, err := c.PointAll(0); err == nil {
 		t.Error("PointAll met a full-fleet quorum with a node down")
-	}
-}
-
-// TestClientMixedFleet rings a legacy v1 JSON node alongside v2 nodes:
-// ingest routes to it synchronously, its single stream answers exact
-// points, and roll-ups fold its streams as widened stand-ins (a v1
-// node cannot export summaries) without costing quorum.
-func TestClientMixedFleet(t *testing.T) {
-	v2a := startTestNode(t, true)
-	v2b := startTestNode(t, true)
-	v1 := startTestNode(t, false)
-	nodes := map[string]*testNode{v2a.addr: v2a, v2b.addr: v2b, v1.addr: v1}
-	c, err := New(testConfig([]*testNode{v2a, v2b}, []*testNode{v1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	streams := spreadStreams(t, c, 8)
-	// Keep exactly one stream on the v1 node: its single shared tree
-	// only answers per-stream queries exactly in that shape.
-	var kept []string
-	v1Streams := 0
-	for _, s := range streams {
-		if c.Owner(s) == v1.addr {
-			if v1Streams++; v1Streams > 1 {
-				continue
-			}
-		}
-		kept = append(kept, s)
-	}
-	streams = kept
-	var v1Stream string
-	for _, s := range streams {
-		if c.Owner(s) == v1.addr {
-			v1Stream = s
-		}
-	}
-	if v1Stream == "" {
-		t.Fatal("no stream placed on the v1 node")
-	}
-
-	const count = 48
-	rows := feedRows(t, c, nodes, streams, count)
-
-	// The v1 node's point is served from its shared tree.
-	ans := c.Point(v1Stream, 0)
-	if ans.Err != nil || ans.Degraded {
-		t.Fatalf("v1 point unhealthy: %+v", ans)
-	}
-	if ans.Node != v1.addr {
-		t.Errorf("v1 point answered by %q, want %q", ans.Node, v1.addr)
-	}
-
-	// Roll-up: v1 streams are stand-ins, quorum counts only v2 owners.
-	ru, err := c.RollUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Join(ru.Missing, ",") != v1Stream {
-		t.Errorf("roll-up missing %v, want only the v1 stream %q", ru.Missing, v1Stream)
-	}
-	if ru.NodesOK != ru.NodesTotal {
-		t.Errorf("v1 node cost quorum: %d/%d", ru.NodesOK, ru.NodesTotal)
-	}
-	twin, err := core.New(testGeometry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rowSums(rows) {
-		twin.Update(v)
-	}
-	gv, gb, err := ru.Tree.BoundedPoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, _, err := twin.BoundedPoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gb <= 0 {
-		t.Error("mixed-fleet roll-up reports a zero bound despite a stand-in")
-	}
-	if diff := gv - tv; diff > gb+1e-9 || diff < -gb-1e-9 {
-		t.Errorf("mixed roll-up %v strays %v from twin %v, beyond bound %v", gv, diff, tv, gb)
 	}
 }
 

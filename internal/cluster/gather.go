@@ -1,14 +1,15 @@
 package cluster
 
-// Scatter-gather reads. Point queries fan out to each stream's owner
-// with per-node deadlines; cluster-wide roll-ups fetch per-stream SWSM
-// summaries and fold them into one local tree as responses arrive.
-// Partial failure never silently narrows an answer: an unreachable
-// shard degrades to the declared range's midpoint with a bound of its
-// half-width (point queries) or a core.UnknownSummary stand-in whose
-// taint widens every downstream bound (roll-ups), and a gather that
-// loses more than the quorum's worth of nodes reports an error instead
-// of an answer.
+// Scatter-gather reads. Point queries cost one frame per owner node,
+// not a round trip per stream: each owner gets one spoint naming all of
+// its streams, under a per-node deadline, owners in parallel.
+// Cluster-wide roll-ups fetch per-stream SWSM summaries and fold them
+// into one local tree as responses arrive. Partial failure never
+// silently narrows an answer: an unreachable shard degrades to the
+// declared range's midpoint with a bound of its half-width (point
+// queries) or a core.UnknownSummary stand-in whose taint widens every
+// downstream bound (roll-ups), and a gather that loses more than the
+// quorum's worth of nodes reports an error instead of an answer.
 
 import (
 	"errors"
@@ -42,13 +43,10 @@ type PointAnswer struct {
 	Err error
 }
 
-// errNoRange reports a degraded answer was impossible.
-var errNoRange = errors.New("cluster: owner unreachable and no ValueLo/ValueHi declared to widen into")
-
 // degradedAnswer builds the stand-in for an unreachable owner.
 func (c *Client) degradedAnswer(stream string, cause error) PointAnswer {
 	if !c.mopts.Declared() {
-		return PointAnswer{Stream: stream, Err: fmt.Errorf("%w (%v)", errNoRange, cause)}
+		return PointAnswer{Stream: stream, Err: fmt.Errorf("cluster: owner unreachable and no ValueLo/ValueHi declared to widen into: %w", cause)}
 	}
 	return PointAnswer{
 		Stream:   stream,
@@ -58,68 +56,24 @@ func (c *Client) degradedAnswer(stream string, cause error) PointAnswer {
 	}
 }
 
-// Point answers a bounded point query for one stream from its owner.
-// An unreachable owner degrades to the declared range's midpoint and
-// half-width bound rather than failing; a reachable owner that refuses
-// (cold tree, unknown stream) surfaces its error.
+// Point answers a bounded point query for one stream from its owner: a
+// one-stream batch on PointAll's path. An unreachable owner degrades to
+// the declared range's midpoint and half-width bound rather than
+// failing; a reachable owner that refuses (cold tree, unknown stream,
+// stale epoch) surfaces its error.
 func (c *Client) Point(stream string, age int) PointAnswer {
 	p := c.pl.Load()
-	n := p.nodes[p.ring.Owner(stream)]
-	if n.v1 {
-		return c.pointV1(n, stream, age)
-	}
-	var out PointAnswer
-	err := n.pool.Do(func(bc *wire.BinClient) error {
-		bc.SetEpoch(p.ring.Epoch())
-		bc.SetDeadline(deadline(c.timeout()))
-		defer bc.SetDeadline(time.Time{})
-		var e error
-		out.Value, out.Bound, out.Arrivals, e = bc.StreamPoint(stream, age)
-		return e
-	})
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return PointAnswer{Stream: stream, Node: n.addr, Err: err}
-		}
-		return c.degradedAnswer(stream, err)
-	}
-	out.Stream, out.Node = stream, n.addr
-	return out
-}
-
-// pointV1 serves a point query from a legacy node's single shared
-// tree: exact (zero bound) only while that node owns exactly one
-// stream, which is the supported mixed-fleet shape.
-func (c *Client) pointV1(n *node, stream string, age int) PointAnswer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.v1c == nil {
-		v1c, err := wire.Dial(n.addr)
-		if err != nil {
-			return c.degradedAnswer(stream, err)
-		}
-		n.v1c = v1c
-	}
-	v, err := n.v1c.Point(age)
-	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			return PointAnswer{Stream: stream, Node: n.addr, Err: err}
-		}
-		n.v1c.Close()
-		n.v1c = nil
-		return c.degradedAnswer(stream, err)
-	}
-	return PointAnswer{Stream: stream, Node: n.addr, Value: v}
+	var out [1]PointAnswer
+	c.pointNode(p, p.nodes[p.ring.Owner(stream)], []string{stream}, []int{0}, age, out[:])
+	return out[0]
 }
 
 // PointAll scatter-gathers one bounded point query across every
-// registered stream: streams group by owner, owners are queried in
-// parallel on one pooled connection each (pipelined round trips), and
-// answers return in sorted stream order. Streams on unreachable owners
-// come back degraded; the call errors only when fewer than a quorum of
-// owners answered.
+// registered stream: streams group by owner, and each owner answers all
+// of its streams in one spoint frame on one pooled connection, owners
+// in parallel. Answers return in sorted stream order. Streams on
+// unreachable owners come back degraded; the call errors only when
+// fewer than a quorum of owners answered.
 func (c *Client) PointAll(age int) ([]PointAnswer, error) {
 	streams := c.Streams()
 	if len(streams) == 0 {
@@ -160,67 +114,33 @@ func (c *Client) PointAll(age int) ([]PointAnswer, error) {
 	return out, nil
 }
 
-// pointNode answers one owner's slice of a PointAll, reporting whether
-// the node answered. Per-stream remote refusals (cold tree) keep the
-// node answered on both the v1 and v2 paths; a transport failure
-// degrades the remaining streams and counts the node as unanswered.
+// pointNode answers one owner's slice of a PointAll — streams[i] for
+// each i in idxs, into out[i] — reporting whether the node answered.
+// Server refusals, per stream or per frame, keep the node answered. A
+// transport failure degrades every one of its streams and counts the
+// node as unanswered. Nothing lands in out until the whole reply has
+// decoded, so pool retries after a failed attempt are safe.
 func (c *Client) pointNode(p *placement, n *node, streams []string, idxs []int, age int, out []PointAnswer) bool {
-	if n.v1 {
-		for _, i := range idxs {
-			out[i] = c.pointV1(n, streams[i], age)
-		}
-		return answeredAll(out, idxs)
+	names := make([]string, len(idxs))
+	for k, i := range idxs {
+		names[k] = streams[i]
 	}
+	res := make([]wire.StreamPointResult, len(idxs))
 	err := n.pool.Do(func(bc *wire.BinClient) error {
 		bc.SetEpoch(p.ring.Epoch())
 		bc.SetDeadline(deadline(c.timeout()))
 		defer bc.SetDeadline(time.Time{})
-		for k, i := range idxs {
-			v, bound, arr, e := bc.StreamPoint(streams[i], age)
-			if e != nil {
-				var remote *wire.RemoteError
-				if errors.As(e, &remote) {
-					out[i] = PointAnswer{Stream: streams[i], Node: n.addr, Err: e}
-					continue
-				}
-				// Transport failure mid-gather: degrade this stream and
-				// the rest. Do retries only if nothing was answered yet
-				// (answers would duplicate otherwise); a partial gather
-				// instead settles here and hands the connection back for
-				// discard — a pipelined reply may still be in flight.
-				if k > 0 {
-					for _, j := range idxs[k:] {
-						out[j] = c.degradedAnswer(streams[j], e)
-					}
-					return fmt.Errorf("%w: %w", wire.ErrDiscardConn, e)
-				}
-				return e
-			}
-			out[i] = PointAnswer{Stream: streams[i], Value: v, Bound: bound, Arrivals: arr, Node: n.addr}
-		}
-		return nil
+		return bc.StreamPoints(names, age, res)
 	})
-	if err != nil {
-		if !errors.Is(err, wire.ErrDiscardConn) {
-			for _, i := range idxs {
-				out[i] = c.degradedAnswer(streams[i], err)
-			}
+	for k, i := range idxs {
+		if err != nil {
+			out[i] = c.degradedAnswer(names[k], err)
+			continue
 		}
-		return false
+		r := res[k] // a refusal carries only Err
+		out[i] = PointAnswer{Stream: names[k], Value: r.Value, Bound: r.Bound, Arrivals: r.Arrivals, Node: n.addr, Err: r.Err}
 	}
-	return answeredAll(out, idxs)
-}
-
-// answeredAll reports whether every indexed answer came from the node
-// itself: degraded stand-ins and transport failures with no range to
-// widen into count against it, per-stream remote refusals do not.
-func answeredAll(out []PointAnswer, idxs []int) bool {
-	for _, i := range idxs {
-		if out[i].Degraded || errors.Is(out[i].Err, errNoRange) {
-			return false
-		}
-	}
-	return true
+	return err == nil
 }
 
 // RollUp is a cluster-wide merged summary: one local tree summarizing
@@ -235,11 +155,10 @@ type RollUp struct {
 	// are not counted.
 	Streams int
 	// Missing lists streams represented by widened stand-ins (owner
-	// unreachable, summary refused, or a v1 node that cannot export
-	// summaries), sorted.
+	// unreachable or summary refused), sorted.
 	Missing []string
-	// NodesOK / NodesTotal count the summary-capable owners that
-	// answered versus all summary-capable owners.
+	// NodesOK / NodesTotal count the owners that answered versus all
+	// owners.
 	NodesOK, NodesTotal int
 }
 
@@ -256,8 +175,8 @@ type fetched struct {
 // not one per stream. Unreachable or refused streams fold in as
 // core.UnknownSummary stand-ins sized by this client's sent count
 // (their taint widens the tree's bounds); the call errors when fewer
-// than a quorum of summary-capable owners answered, or when stand-ins
-// are needed without a declared value range.
+// than a quorum of owners answered, or when stand-ins are needed
+// without a declared value range.
 func (c *Client) RollUp() (*RollUp, error) {
 	streams := c.Streams()
 	if len(streams) == 0 {
@@ -265,12 +184,8 @@ func (c *Client) RollUp() (*RollUp, error) {
 	}
 	p := c.pl.Load()
 	byOwner := make(map[*node][]string)
-	v2Owners := 0
 	for _, s := range streams {
 		n := p.nodes[p.ring.Owner(s)]
-		if _, seen := byOwner[n]; !seen && !n.v1 {
-			v2Owners++
-		}
 		byOwner[n] = append(byOwner[n], s)
 	}
 	results := make(chan fetched)
@@ -282,8 +197,8 @@ func (c *Client) RollUp() (*RollUp, error) {
 	for _, addr := range p.order {
 		n := p.nodes[addr]
 		names := byOwner[n]
-		if len(names) == 0 || n.v1 {
-			continue // v1 nodes cannot export summaries; stand-ins below
+		if len(names) == 0 {
+			continue
 		}
 		wg.Add(1)
 		go func() {
@@ -334,8 +249,8 @@ func (c *Client) RollUp() (*RollUp, error) {
 	if foldErr != nil {
 		return nil, fmt.Errorf("cluster: fold: %w", foldErr)
 	}
-	if q := c.quorumOf(v2Owners); v2Owners > 0 && nodesOK < q {
-		return nil, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", nodesOK, v2Owners, q)
+	if q := c.quorumOf(len(byOwner)); nodesOK < q {
+		return nil, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", nodesOK, len(byOwner), q)
 	}
 
 	// Stand-ins for everything the gather could not produce, in sorted
@@ -376,7 +291,7 @@ func (c *Client) RollUp() (*RollUp, error) {
 		Streams:    folded,
 		Missing:    missing,
 		NodesOK:    nodesOK,
-		NodesTotal: v2Owners,
+		NodesTotal: len(byOwner),
 	}, nil
 }
 

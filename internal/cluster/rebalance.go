@@ -125,12 +125,7 @@ type Stats struct {
 // while a Rebalance is in flight — the migration's progress.
 func (c *Client) Stats() Stats {
 	p := c.pl.Load()
-	st := Stats{Epoch: p.ring.Epoch(), Nodes: p.ring.Nodes()}
-	for _, addr := range p.order {
-		if n := p.nodes[addr]; n.pool != nil {
-			st.Pools = append(st.Pools, PoolStats{Node: addr, PoolStats: n.pool.Stats()})
-		}
-	}
+	st := Stats{Epoch: p.ring.Epoch(), Nodes: p.ring.Nodes(), Pools: p.pools()}
 	if m := c.mig.Load(); m != nil {
 		st.Migrating = true
 		st.FromEpoch, st.ToEpoch = m.from, m.to
@@ -214,13 +209,9 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 	var moves []Move
 	for _, s := range c.Streams() { // sorted
 		from, to := old.Owner(s), newRing.Owner(s)
-		if from == to {
-			continue
+		if from != to {
+			moves = append(moves, Move{Stream: s, From: from, To: to})
 		}
-		if p.nodes[from].v1 || newNodes[to].v1 {
-			return abort(fmt.Errorf("cluster: stream %q moves across a v1 node (%s -> %s): drain legacy nodes before resharding", s, from, to))
-		}
-		moves = append(moves, Move{Stream: s, From: from, To: to})
 	}
 	progress := func(moved int, current string) {
 		c.mig.Store(&migProgress{from: old.Epoch(), to: newRing.Epoch(), moved: moved, total: len(moves), current: current})
@@ -268,12 +259,8 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 	sort.Strings(fenceOrder)
 	budget := c.rebalanceTimeout(opts)
 	for _, a := range fenceOrder {
-		n := fenceSet[a]
-		if n.v1 {
-			continue // v1 speaks no epochs; its streams cannot move
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		err := n.pool.DoCtx(ctx, func(bc *wire.BinClient) error {
+		err := fenceSet[a].pool.DoCtx(ctx, func(bc *wire.BinClient) error {
 			bc.SetDeadline(deadline(budget))
 			defer bc.SetDeadline(time.Time{})
 			_, e := bc.SetRingEpoch(newRing.Epoch())
@@ -302,14 +289,8 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 			n.feed.Close()
 			n.feed = nil
 		}
-		if n.v1c != nil {
-			n.v1c.Close()
-			n.v1c = nil
-		}
 		n.mu.Unlock()
-		if n.pool != nil {
-			n.pool.Close()
-		}
+		n.pool.Close()
 	}
 	return report, nil
 }

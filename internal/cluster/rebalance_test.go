@@ -53,24 +53,24 @@ func TestRebalanceAddNode(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 2; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	c, err := New(testConfig(fleet, nil))
+	c, err := New(testConfig(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	// A stale twin of the client, built before the fleet grows.
-	stale, err := New(testConfig(fleet, nil))
+	stale, err := New(testConfig(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stale.Close()
 
-	newcomer := startTestNode(t, true)
+	newcomer := startTestNode(t)
 	nodes[newcomer.addr] = newcomer
 	newRing, err := c.Ring().WithNode(newcomer.addr)
 	if err != nil {
@@ -186,11 +186,11 @@ func TestRebalanceRemoveNode(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 3; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	c, err := New(testConfig(fleet, nil))
+	c, err := New(testConfig(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +279,18 @@ func TestRebalanceDeadNewOwnerFailsFast(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
 	for i := 0; i < 2; i++ {
-		n := startTestNode(t, true)
+		n := startTestNode(t)
 		nodes[n.addr] = n
 		fleet = append(fleet, n)
 	}
-	c, err := New(testConfig(fleet, nil))
+	c, err := New(testConfig(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	// A dead address: bind a port, then free it.
-	ghost := startTestNode(t, true)
+	ghost := startTestNode(t)
 	ghostAddr := ghost.addr
 	ghost.stop()
 
@@ -336,8 +336,8 @@ func TestRebalanceDeadNewOwnerFailsFast(t *testing.T) {
 // geometry, and non-advancing epochs are refused before anything
 // moves.
 func TestRebalanceValidation(t *testing.T) {
-	n := startTestNode(t, true)
-	c, err := New(testConfig([]*testNode{n}, nil))
+	n := startTestNode(t)
+	c, err := New(testConfig([]*testNode{n}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package wire
 
 // AllocsPerRun guards for the stream-addressed cluster data plane — the
 // dynamic counterpart of the //swat:noalloc annotations in streams.go,
-// server_streams.go, and BinClient.FeedStream (swatlint cross-checks
-// each annotated function is mentioned here).
+// server_streams.go, BinClient.FeedStream and BinClient.StreamPoints
+// (swatlint cross-checks each annotated function is mentioned here).
 
 import (
 	"bufio"
@@ -16,17 +16,20 @@ import (
 
 // TestStreamCodecDoesNotAllocate pins the pure stream-frame layer:
 // streamBatchLimit, appendStreamName, splitStreamName,
-// appendStreamDataFrame, decodeStreamDataFrame, appendStreamQueryFrame,
-// decodeStreamQueryFrame, appendStreamAnswerFrame,
-// decodeStreamAnswerFrame, and appendStreamSumFrame.
+// appendStreamDataFrame, decodeStreamDataFrame, spointFit,
+// appendStreamPointsFrame, decodeStreamPointsFrame,
+// beginStreamPointsRes, appendStreamPointOK, appendStreamPointRefused,
+// decodeStreamPointsRes (answered entries), and appendStreamSumFrame.
 func TestStreamCodecDoesNotAllocate(t *testing.T) {
 	const name = "cpu.load"
+	names := []string{name, "mem.free"}
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i) * 0.25
 	}
-	var frame []byte
+	var frame, refused []byte
 	var decVals []float64
+	res := make([]StreamPointResult, len(names))
 
 	run := func() error {
 		if streamBatchLimit(name) <= 0 {
@@ -44,15 +47,22 @@ func TestStreamCodecDoesNotAllocate(t *testing.T) {
 			return errFrameLength
 		}
 
-		frame = appendStreamQueryFrame(frame[:0], name, 1, 3)
-		if _, _, _, err := decodeStreamQueryFrame(frame[codec.HeaderLen+1:]); err != nil {
+		if spointFit(names) != len(names) {
+			return errFrameLength
+		}
+		frame = appendStreamPointsFrame(frame[:0], 1, 3, names)
+		if _, _, _, _, err := decodeStreamPointsFrame(frame[codec.HeaderLen+1:]); err != nil {
 			return err
 		}
 
-		frame = appendStreamAnswerFrame(frame[:0], 1.5, 0.25, 42)
-		if _, _, _, err := decodeStreamAnswerFrame(frame[codec.HeaderLen+1:]); err != nil {
+		frame = beginStreamPointsRes(frame[:0], len(names))
+		frame = appendStreamPointOK(frame, 1.5, 0.25, 42)
+		frame = appendStreamPointOK(frame, 2.5, 0, 43)
+		frame = codec.Finish(frame, 0)
+		if err := decodeStreamPointsRes(frame[codec.HeaderLen+1:], res); err != nil {
 			return err
 		}
+		refused = appendStreamPointRefused(refused[:0], "core: tree not ready")
 
 		frame = appendStreamSumFrame(frame[:0], name, 1)
 		return nil
@@ -97,11 +107,50 @@ func TestFeedStreamDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestStreamPointsDoesNotAllocate pins the client's batched point path:
+// StreamPoints (and its streamPointsFrame round trip) into a reused dst
+// against a replayed spointRes.
+func TestStreamPointsDoesNotAllocate(t *testing.T) {
+	names := []string{"alpha", "beta", "gamma"}
+	reply := beginStreamPointsRes(nil, len(names))
+	for i := range names {
+		reply = appendStreamPointOK(reply, float64(i), 0, 64)
+	}
+	rc := &replayConn{resp: codec.Finish(reply, 0)}
+	c := &BinClient{conn: rc, bw: bufio.NewWriterSize(rc, 64<<10)}
+	dst := make([]StreamPointResult, len(names))
+	if err := c.StreamPoints(names, 0, dst); err != nil {
+		t.Fatal(err)
+	}
+	//lint:allow sentinelcheck guard reference: ties the alloc budget to streamPointsFrame's identity
+	_ = (*BinClient).streamPointsFrame // guarded through StreamPoints
+	var fail error
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.StreamPoints(names, 0, dst); err != nil {
+			fail = err
+		}
+	})
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	if allocs != 0 {
+		t.Errorf("StreamPoints allocates %v times per batch, want 0", allocs)
+	}
+	for i, r := range dst {
+		if r.Err != nil || r.Value != float64(i) || r.Arrivals != 64 {
+			t.Errorf("dst[%d] = %+v", i, r)
+		}
+	}
+}
+
 // TestStreamHandlersDoNotAllocate pins the server side: resolveStream
 // through the connection's one-slot cache, handleStreamData into a
-// stalled shed-policy ingest queue, and handleStreamQuery answering on
-// a reused write buffer.
+// stalled shed-policy ingest queue, and handleStreamPoints answering a
+// multi-stream spoint on a reused write buffer.
 func TestStreamHandlersDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; pooled query scratch is not allocation-free there")
+	}
 	srv, err := NewServer(core.Options{WindowSize: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -130,16 +179,19 @@ func TestStreamHandlersDoNotAllocate(t *testing.T) {
 		}
 	}()
 
-	// Register and warm the stream so queries answer from a full window.
-	if err := mon.Add("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := mon.Tree("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 96; i++ {
-		tr.Update(float64(i))
+	// Register and warm the streams so queries answer from a full window.
+	names := []string{"alpha", "beta", "gamma"}
+	for _, name := range names {
+		if err := mon.Add(name); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := mon.Tree(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 96; i++ {
+			tr.Update(float64(i))
+		}
 	}
 
 	vals := make([]float64, 32)
@@ -150,14 +202,14 @@ func TestStreamHandlersDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queryBody, _, err := codec.Next(appendStreamQueryFrame(nil, "alpha", 0, 0), MaxFrame)
+	pointsBody, _, err := codec.Next(appendStreamPointsFrame(nil, 0, 0, names), MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	bc := &binConn{conn: nopConn{}}
 	//lint:allow sentinelcheck guard reference: ties the alloc budget to resolveStream's identity
-	_ = (*binConn).resolveStream // guarded through both handlers' cache hits
+	_ = (*binConn).resolveStream // guarded through handleStreamData's cache hits
 	// Stall the worker so the 1-slot queue settles into the
 	// deterministic shed-and-recycle cycle, as in the single-tree guard.
 	srv.mu.Lock()
@@ -165,7 +217,7 @@ func TestStreamHandlersDoNotAllocate(t *testing.T) {
 		if err := srv.handleStreamData(bc, dataBody[1:]); err != nil {
 			return err
 		}
-		return srv.handleStreamQuery(bc, queryBody[1:])
+		return srv.handleStreamPoints(bc, pointsBody[1:])
 	}
 	for i := 0; i < 5; i++ {
 		if err := run(); err != nil {
@@ -185,6 +237,16 @@ func TestStreamHandlersDoNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("stream handlers allocate %v times per cycle, want 0", allocs)
+	}
+	// The measured replies answered every stream.
+	res := make([]StreamPointResult, len(names))
+	if err := decodeStreamPointsRes(bc.wbuf[codec.HeaderLen+1:], res); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Errorf("stream %q refused: %v", names[i], r.Err)
+		}
 	}
 }
 

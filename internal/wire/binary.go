@@ -37,8 +37,9 @@ package wire
 //	sumReq    c→s  (empty)
 //	sumRes    s→c  one summary codec frame (core.AppendSummary encoding)
 //	sdata     c→s  u64 epoch | u16 nameLen | name | u32 count | count×f64
-//	squery    c→s  u64 epoch | u16 nameLen | name | u32 age
-//	sanswer   s→c  f64 value | f64 bound | u64 arrivals
+//	spoint    c→s  u64 epoch | u32 age | u32 n | n × (u16 nameLen | name)
+//	spointRes s→c  u32 n | n × (u8 1 | f64 value | f64 bound | u64 arrivals
+//	                            or u8 0 | u16 len | msg)
 //	ssum      c→s  u64 epoch | u16 nameLen | name  (reply: sumRes)
 //	epoch     c→s  u8 op (0 get, 1 set) | u64 epoch
 //	epochRes  s→c  u64 epoch   (the server's epoch after the op)
@@ -101,10 +102,8 @@ const (
 	// like data but carries no sequence index — many streams interleave
 	// on one connection, so per-connection contiguity is meaningless;
 	// per-stream delivery accounting lives in the cluster client.
-	bfSData   = 0x0D
-	bfSQuery  = 0x0E
-	bfSAnswer = 0x0F
-	bfSSum    = 0x10
+	bfSData = 0x0D
+	bfSSum  = 0x10
 	// Live-resharding control plane (see migrate.go): epoch get/set is
 	// the v2 control frame a node learns its ring version through;
 	// migRead/migChunk export a stream's summary from its old owner in
@@ -118,6 +117,11 @@ const (
 	bfMigStat   = 0x16
 	bfMigCommit = 0x17
 	bfMigState  = 0x18
+	// Batched stream points: one spoint names every stream a node owns,
+	// one spointRes answers them all. 0x0E/0x0F, the retired
+	// one-stream query pair, stay unassigned.
+	bfSPoint    = 0x19
+	bfSPointRes = 0x1A
 )
 
 const (

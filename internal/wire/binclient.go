@@ -198,20 +198,64 @@ func (c *BinClient) FeedStream(name string, vs []float64) error {
 
 // StreamPoint runs a bounded point query against the named stream: the
 // value at the given age, a guaranteed error bound (non-zero after
-// merges or shed ingest), and the stream tree's arrival count.
+// merges or shed ingest), and the stream tree's arrival count. It is a
+// one-name StreamPoints; a refusal returns as the *RemoteError.
 func (c *BinClient) StreamPoint(name string, age int) (val, bound float64, arrivals int64, err error) {
-	if len(name) == 0 || len(name) > maxStreamName {
-		return 0, 0, 0, errStreamName
-	}
-	c.wbuf = appendStreamQueryFrame(c.wbuf[:0], name, c.epoch, age)
-	body, err := c.roundTripBin()
-	if err != nil {
+	var res [1]StreamPointResult
+	if err := c.StreamPoints([]string{name}, age, res[:]); err != nil {
 		return 0, 0, 0, err
 	}
-	if body[0] != bfSAnswer {
-		return 0, 0, 0, errFrameType
+	return res[0].Value, res[0].Bound, res[0].Arrivals, res[0].Err
+}
+
+// StreamPoints runs a bounded point query at age against every named
+// stream into dst (len(dst) must equal len(names)), in one spoint frame
+// unless the request or its worst-case reply would outgrow MaxFrame.
+// Server refusals, per stream or per frame, land in the entries' Err;
+// the returned error is a transport or framing failure, after which
+// dst is unspecified. Runs under the caller's SetDeadline.
+//
+//swat:noalloc
+func (c *BinClient) StreamPoints(names []string, age int, dst []StreamPointResult) error {
+	if len(dst) != len(names) {
+		return fmt.Errorf("wire: %d answer slots for %d streams", len(dst), len(names))
 	}
-	return decodeStreamAnswerFrame(body[1:])
+	for _, name := range names {
+		if len(name) == 0 || len(name) > maxStreamName {
+			return errStreamName
+		}
+	}
+	for len(names) > 0 {
+		k := spointFit(names)
+		if err := c.streamPointsFrame(names[:k], age, dst[:k]); err != nil {
+			return err
+		}
+		names, dst = names[k:], dst[k:]
+	}
+	return nil
+}
+
+// streamPointsFrame is one spoint/spointRes round trip.
+//
+//swat:noalloc
+//swat:deadline-held
+func (c *BinClient) streamPointsFrame(names []string, age int, dst []StreamPointResult) error {
+	c.wbuf = appendStreamPointsFrame(c.wbuf[:0], c.epoch, age, names)
+	body, err := c.roundTripBin()
+	if err != nil {
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			return err
+		}
+		for i := range dst {
+			dst[i] = StreamPointResult{Err: remote}
+		}
+		return nil
+	}
+	if body[0] != bfSPointRes {
+		return errFrameType
+	}
+	return decodeStreamPointsRes(body[1:], dst)
 }
 
 // FetchStreamSummary fetches the named stream's mergeable summary,

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/streamsum/swat/internal/codec"
@@ -35,6 +37,25 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(good[:codec.HeaderLen])
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 1})
+	// Stream-addressed frames.
+	f.Add(appendStreamDataFrame(nil, "cpu.load", 3, []float64{1, -2.5}))
+	f.Add(appendStreamSumFrame(nil, "cpu.load", 3))
+	f.Add(appendStreamPointsFrame(nil, 7, 2, []string{"cpu.load", "mem", "disk.io"}))
+	res := beginStreamPointsRes(nil, 2)
+	res = appendStreamPointOK(res, 1.5, 0.25, 42)
+	f.Add(codec.Finish(appendStreamPointRefused(res, "core: not covered"), 0))
+	// Hostile counts and lengths: name and entry counts no payload could
+	// hold, and name and message lengths past their caps.
+	spoint := func(n uint32, nameLen uint16) []byte {
+		b := append(codec.Begin(nil), bfSPoint)
+		b = append(b, make([]byte, 12)...) // epoch, age
+		b = binary.BigEndian.AppendUint32(b, n)
+		b = binary.BigEndian.AppendUint16(b, nameLen)
+		return codec.Finish(append(b, 's'), 0)
+	}
+	f.Add(spoint(0xFFFFFFFF, 1))
+	f.Add(spoint(1, 0xFFFF))
+	f.Add(codec.Finish(append(codec.Begin(nil), bfSPointRes, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0xFF, 0xFF), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, buf, err := readBinFrame(bytes.NewReader(data), nil)
@@ -94,6 +115,61 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 					t.Fatalf("stats frame did not round-trip: %v", rerr)
 				}
 			}
+		case bfSData:
+			if name, epoch, vals, err := decodeStreamDataFrame(payload, nil); err == nil {
+				checkReencode(t, "sdata", body, appendStreamDataFrame(nil, string(name), epoch, vals))
+			}
+		case bfSSum:
+			// The server's ssum parse: epoch, one name, nothing after.
+			if epoch, rest, err := splitEpoch(payload); err == nil {
+				if name, rest, err := splitStreamName(rest); err == nil && len(rest) == 0 {
+					checkReencode(t, "ssum", body, appendStreamSumFrame(nil, string(name), epoch))
+				}
+			}
+		case bfSPoint:
+			epoch, age, n, names, err := decodeStreamPointsFrame(payload)
+			if err != nil {
+				return
+			}
+			if n > len(payload)/3 || spointResHdr+n*spointEntryMax > MaxFrame {
+				t.Fatalf("spoint accepted %d names from a %d-byte payload", n, len(payload))
+			}
+			decoded := make([]string, n)
+			for i := range decoded {
+				var name []byte
+				name, names, _ = splitStreamName(names)
+				decoded[i] = string(name)
+			}
+			checkReencode(t, "spoint", body, appendStreamPointsFrame(nil, epoch, age, decoded))
+		case bfSPointRes:
+			// A reply's count sizes nothing until it matches the request;
+			// here it may size dst only as far as the payload could back.
+			if len(payload) < 4 || int(binary.BigEndian.Uint32(payload)) > len(payload)/3 {
+				return
+			}
+			dst := make([]StreamPointResult, binary.BigEndian.Uint32(payload))
+			if decodeStreamPointsRes(payload, dst) != nil {
+				return
+			}
+			re := beginStreamPointsRes(nil, len(dst))
+			for _, r := range dst {
+				var remote *RemoteError
+				if errors.As(r.Err, &remote) {
+					re = appendStreamPointRefused(re, remote.Msg)
+				} else {
+					re = appendStreamPointOK(re, r.Value, r.Bound, r.Arrivals)
+				}
+			}
+			checkReencode(t, "spointRes", body, codec.Finish(re, 0))
 		}
 	})
+}
+
+// checkReencode fails the fuzz run unless re frames exactly body.
+func checkReencode(t *testing.T, kind string, body, re []byte) {
+	t.Helper()
+	rebody, _, err := codec.Next(re, MaxFrame)
+	if err != nil || !bytes.Equal(rebody, body) {
+		t.Fatalf("%s frame did not round-trip: %v", kind, err)
+	}
 }

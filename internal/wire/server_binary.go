@@ -124,8 +124,8 @@ func (s *Server) dispatchBinary(bc *binConn, body []byte) error {
 		return s.binWrite(bc)
 	case bfSData:
 		return s.handleStreamData(bc, body[1:])
-	case bfSQuery:
-		return s.handleStreamQuery(bc, body[1:])
+	case bfSPoint:
+		return s.handleStreamPoints(bc, body[1:])
 	case bfSSum:
 		return s.handleStreamSummary(bc, body[1:])
 	case bfPing:

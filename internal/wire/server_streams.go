@@ -24,7 +24,7 @@ type streamHandle struct {
 }
 
 // UseMonitor attaches a stream monitor, enabling the stream-addressed
-// v2 frames (sdata/squery/ssum). Unknown streams named by sdata frames
+// v2 frames (sdata/spoint/ssum). Unknown streams named by sdata frames
 // are registered on first use, so a cluster client never pre-declares
 // placement; queries against unknown streams are soft errors. Install
 // before data flows; the caller keeps ownership and closes the monitor
@@ -48,9 +48,9 @@ func (s *Server) Monitor() *multi.Monitor {
 }
 
 // streamHandleFor resolves a stream name, registering it when autoAdd
-// is set (the ingest path). This is the slow path behind each
-// connection's one-slot cache: steady-state traffic (consecutive
-// frames for the same stream) never reaches it, so it may allocate.
+// is set (the ingest path). Ingest reaches it only behind each
+// connection's one-slot cache; batched points call it per name. A hit
+// never allocates; registering a name does.
 func (s *Server) streamHandleFor(name []byte, autoAdd bool) (streamHandle, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
@@ -134,13 +134,15 @@ func (s *Server) handleStreamData(bc *binConn, payload []byte) error {
 	return nil
 }
 
-// handleStreamQuery answers one bounded point query against the named
-// stream. Evaluation failures (unknown stream, cold tree, bad age) are
-// soft: an error frame, and the connection lives on.
+// handleStreamPoints answers one spoint frame with one spointRes. A
+// stale epoch refuses the whole frame with one soft error frame; an
+// unknown stream, cold tree or bad age refuses only its own entry.
+// Names resolve through the server-wide map: a batch would only thrash
+// the connection's one-slot cache.
 //
 //swat:noalloc
-func (s *Server) handleStreamQuery(bc *binConn, payload []byte) error {
-	name, epoch, age, err := decodeStreamQueryFrame(payload)
+func (s *Server) handleStreamPoints(bc *binConn, payload []byte) error {
+	epoch, age, n, names, err := decodeStreamPointsFrame(payload)
 	if err != nil {
 		return err
 	}
@@ -148,17 +150,22 @@ func (s *Server) handleStreamQuery(bc *binConn, payload []byte) error {
 		s.binError(bc, err)
 		return nil
 	}
-	h, err := bc.resolveStream(s, name, false)
-	if err != nil {
-		s.binError(bc, err)
-		return nil
+	bc.wbuf = beginStreamPointsRes(bc.wbuf[:0], n)
+	for i := 0; i < n; i++ {
+		var name []byte
+		name, names, _ = splitStreamName(names) // validated by the decode
+		h, err := s.streamHandleFor(name, false)
+		var val, bound float64
+		if err == nil {
+			val, bound, err = h.tree.BoundedPoint(age)
+		}
+		if err != nil {
+			bc.wbuf = appendStreamPointRefused(bc.wbuf, err.Error())
+			continue
+		}
+		bc.wbuf = appendStreamPointOK(bc.wbuf, val, bound, h.tree.Arrivals())
 	}
-	val, bound, err := h.tree.BoundedPoint(age)
-	if err != nil {
-		s.binError(bc, err)
-		return nil
-	}
-	bc.wbuf = appendStreamAnswerFrame(bc.wbuf[:0], val, bound, h.tree.Arrivals())
+	bc.wbuf = codec.Finish(bc.wbuf, 0)
 	return s.binWrite(bc)
 }
 

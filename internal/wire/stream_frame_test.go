@@ -40,22 +40,57 @@ func TestStreamFrameRoundTrips(t *testing.T) {
 		}
 	}
 
-	q := appendStreamQueryFrame(nil, "cpu.load", 9, 7)
-	qname, qepoch, age, err := decodeStreamQueryFrame(q[codec.HeaderLen+1:])
+	q := appendStreamPointsFrame(nil, 9, 7, []string{"cpu.load", "mem"})
+	qepoch, age, n, names, err := decodeStreamPointsFrame(q[codec.HeaderLen+1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(qname) != "cpu.load" || qepoch != 9 || age != 7 {
-		t.Errorf("query decoded as (%q, %d, %d)", qname, qepoch, age)
+	first, rest, _ := splitStreamName(names)
+	second, _, _ := splitStreamName(rest)
+	if qepoch != 9 || age != 7 || n != 2 || string(first) != "cpu.load" || string(second) != "mem" {
+		t.Errorf("spoint decoded as (%d, %d, %d, %q, %q)", qepoch, age, n, first, second)
 	}
 
-	a := appendStreamAnswerFrame(nil, 3.5, 0.25, 42)
-	av, ab, aa, err := decodeStreamAnswerFrame(a[codec.HeaderLen+1:])
-	if err != nil {
+	long := strings.Repeat("m", 2*maxRefusalMsg)
+	a := beginStreamPointsRes(nil, 2)
+	a = appendStreamPointOK(a, 3.5, 0.25, 42)
+	a = codec.Finish(appendStreamPointRefused(a, long), 0)
+	res := make([]StreamPointResult, 2)
+	if err := decodeStreamPointsRes(a[codec.HeaderLen+1:], res); err != nil {
 		t.Fatal(err)
 	}
-	if av != 3.5 || ab != 0.25 || aa != 42 {
-		t.Errorf("answer decoded as (%v, %v, %d)", av, ab, aa)
+	if r := res[0]; r.Err != nil || r.Value != 3.5 || r.Bound != 0.25 || r.Arrivals != 42 {
+		t.Errorf("answer decoded as %+v", r)
+	}
+	var remote *RemoteError
+	if !errors.As(res[1].Err, &remote) || remote.Msg != long[:maxRefusalMsg] {
+		t.Errorf("refusal decoded as %v, want a RemoteError cut to %d bytes", res[1].Err, maxRefusalMsg)
+	}
+}
+
+// TestStreamPointsFit pins the client's frame split: a request splits
+// exactly when the next name would push the request, or its worst-case
+// reply, past MaxFrame.
+func TestStreamPointsFit(t *testing.T) {
+	long := strings.Repeat("n", maxStreamName)
+	perFrame := (MaxFrame - spointHdr) / (2 + maxStreamName)
+	names := make([]string, perFrame+1)
+	for i := range names {
+		names[i] = long
+	}
+	if got := spointFit(names); got != perFrame {
+		t.Fatalf("long names: %d fit one frame, want %d", got, perFrame)
+	}
+	if got := len(appendStreamPointsFrame(nil, 1, 0, names[:perFrame])) - codec.HeaderLen; got > MaxFrame {
+		t.Fatalf("a full spoint frame is %d bytes, over MaxFrame", got)
+	}
+	byReply := (MaxFrame - spointResHdr) / spointEntryMax
+	short := make([]string, byReply+1)
+	for i := range short {
+		short[i] = "s"
+	}
+	if got := spointFit(short); got != byReply {
+		t.Fatalf("short names: %d fit one frame, want %d (reply-bound)", got, byReply)
 	}
 }
 
@@ -71,11 +106,39 @@ func TestStreamFrameDecodeErrors(t *testing.T) {
 	if _, _, _, err := decodeStreamDataFrame(bad[:len(bad)-4], nil); err == nil {
 		t.Error("ragged value payload accepted")
 	}
-	if _, _, _, err := decodeStreamQueryFrame(append(make([]byte, 8), 0, 1, 's')); err == nil {
-		t.Error("query without an age accepted")
+	if _, _, _, _, err := decodeStreamPointsFrame(append(make([]byte, 8), 0, 0, 0, 1)); err == nil {
+		t.Error("spoint without a count accepted")
 	}
-	if _, _, _, err := decodeStreamAnswerFrame(make([]byte, 23)); err == nil {
+	// A count the payload cannot hold is refused before the walk.
+	hostile := append(make([]byte, 12), 0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 's')
+	if _, _, _, _, err := decodeStreamPointsFrame(hostile); err == nil {
+		t.Error("spoint with a hostile count accepted")
+	}
+	// More names than a reply frame could answer in the worst case.
+	short := make([]string, (MaxFrame-spointResHdr)/spointEntryMax+1)
+	for i := range short {
+		short[i] = "s"
+	}
+	if _, _, _, _, err := decodeStreamPointsFrame(appendStreamPointsFrame(nil, 0, 0, short)[codec.HeaderLen+1:]); err == nil {
+		t.Error("spoint whose reply could outgrow MaxFrame accepted")
+	}
+	// Trailing bytes after the last name.
+	sp := appendStreamPointsFrame(nil, 0, 0, []string{"s"})[codec.HeaderLen+1:]
+	if _, _, _, _, err := decodeStreamPointsFrame(append(sp, 0)); err == nil {
+		t.Error("spoint with trailing bytes accepted")
+	}
+	ok := beginStreamPointsRes(nil, 1)[codec.HeaderLen+1:]
+	ok = appendStreamPointOK(ok, 1, 0, 1)
+	if err := decodeStreamPointsRes(ok[:len(ok)-1], make([]StreamPointResult, 1)); err == nil {
 		t.Error("short answer accepted")
+	}
+	if err := decodeStreamPointsRes(ok, make([]StreamPointResult, 2)); err == nil {
+		t.Error("answer count mismatch accepted")
+	}
+	status := append([]byte(nil), ok...)
+	status[4] = 2 // neither answered nor refused
+	if err := decodeStreamPointsRes(status, make([]StreamPointResult, 1)); err == nil {
+		t.Error("unknown entry status accepted")
 	}
 }
 
@@ -277,6 +340,65 @@ func TestStreamQueryErrors(t *testing.T) {
 	}
 	if !strings.Contains(nmErr.Error(), "stream") {
 		t.Errorf("no-monitor error %q does not mention streams", nmErr)
+	}
+}
+
+// TestStreamPointsBatch pins the batched point semantics over a
+// socket: each entry answers exactly like its one-stream query, an
+// unknown or cold stream refuses only its own entry, and a stale epoch
+// refuses every entry while the connection lives on.
+func TestStreamPointsBatch(t *testing.T) {
+	// MinLevel 2: three values build no node, so "cold" stays cold.
+	addr, mon, shutdown := startStreamServer(t, multi.Options{WindowSize: 16, MinLevel: 2})
+	defer shutdown()
+	feedWarm(t, addr, mon, "alpha", 40)
+	feedWarm(t, addr, mon, "beta", 20)
+	feedWarm(t, addr, mon, "cold", 3)
+	c, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	names := []string{"alpha", "ghost", "beta", "cold"}
+	res := make([]StreamPointResult, len(names))
+	if err := c.StreamPoints(names, 2, res); err != nil {
+		t.Fatal(err)
+	}
+	var remote *RemoteError
+	for i, name := range names {
+		v, b, arr, err := c.StreamPoint(name, 2)
+		switch r := res[i]; name {
+		case "ghost", "cold":
+			if !errors.As(r.Err, &remote) || !errors.As(err, &remote) {
+				t.Errorf("%s: batch %v, single %v; want refusals", name, r.Err, err)
+			}
+		default:
+			if r.Err != nil || err != nil || r.Value != v || r.Bound != b || r.Arrivals != arr {
+				t.Errorf("%s: batch %+v, single (%v, %v, %d, %v)", name, r, v, b, arr, err)
+			}
+		}
+	}
+
+	ctl, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if _, err := ctl.SetRingEpoch(5); err != nil {
+		t.Fatal(err)
+	}
+	c.SetEpoch(4)
+	if err := c.StreamPoints(names, 2, res); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !errors.As(r.Err, &remote) || !strings.Contains(r.Err.Error(), "epoch") {
+			t.Errorf("stale batch entry %q: %v, want an epoch refusal", names[i], r.Err)
+		}
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("ping after a stale batch: %v", err)
 	}
 }
 

@@ -4,9 +4,9 @@ package wire
 // data plane. A swatd fronting a multi.Monitor owns many independent
 // streams; these frames name the stream they target, so one connection
 // can interleave traffic for any number of streams a consistent-hash
-// ring placed on this node (see internal/cluster). Layout mirrors the
-// single-tree frames with a ring epoch and a length-prefixed UTF-8
-// name first.
+// ring placed on this node (see internal/cluster). Each starts with a
+// ring epoch, then a length-prefixed UTF-8 name (spoint: a list of
+// them, one batched point query for every stream a node owns).
 //
 // The u64 epoch after the type byte is the sender's ring version (see
 // cluster.Ring.Epoch): placement fencing for live resharding. Epoch 0
@@ -146,70 +146,173 @@ func decodeStreamDataFrame(payload []byte, dst []float64) (name []byte, epoch ui
 	return name, epoch, vals, nil
 }
 
-// appendStreamQueryFrame appends one squery frame: a bounded point
-// query at the given age against the named stream.
+// Batched point frames (spoint/spointRes). Refusal messages are capped
+// at maxRefusalMsg bytes, so the reply to n names is at most
+// spointResHdr + n·spointEntryMax and the client can split a request
+// before either frame outgrows MaxFrame.
+const (
+	maxRefusalMsg  = 125
+	spointHdr      = 1 + 8 + 4 + 4 // type, epoch, age, count
+	spointResHdr   = 1 + 4         // type, count
+	spointOKLen    = 1 + 8 + 8 + 8 // status, value, bound, arrivals
+	spointEntryMax = 1 + 2 + maxRefusalMsg
+)
+
+// StreamPointResult is one stream's answer from a StreamPoints batch:
+// |Value − truth| <= Bound, and the stream tree's arrival count. Err is
+// the server's refusal of this stream, a *RemoteError (unknown stream,
+// cold tree, or a stale ring epoch refusing the whole frame).
+type StreamPointResult struct {
+	Value, Bound float64
+	Arrivals     int64
+	Err          error
+}
+
+// spointFit returns how many names, from the front, one spoint frame
+// carries with both it and its worst-case reply under MaxFrame (at
+// least one: names are at most maxStreamName bytes).
 //
 //swat:noalloc
-func appendStreamQueryFrame(dst []byte, name string, epoch uint64, age int) []byte {
+func spointFit(names []string) int {
+	size := spointHdr
+	for i, name := range names {
+		size += 2 + len(name)
+		if size > MaxFrame || spointResHdr+(i+1)*spointEntryMax > MaxFrame {
+			return i
+		}
+	}
+	return len(names)
+}
+
+// appendStreamPointsFrame appends one spoint frame asking for the
+// bounded point at age of every named stream.
+//
+//swat:noalloc
+func appendStreamPointsFrame(dst []byte, epoch uint64, age int, names []string) []byte {
 	start := len(dst)
 	dst = codec.Begin(dst)
-	dst = append(dst, bfSQuery)
+	dst = append(dst, bfSPoint)
 	dst = appendEpoch(dst, epoch)
-	dst = appendStreamName(dst, name)
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(age))
+	var b [8]byte
+	binary.BigEndian.PutUint32(b[:4], uint32(age))
+	binary.BigEndian.PutUint32(b[4:], uint32(len(names)))
 	dst = append(dst, b[:]...)
+	for _, name := range names {
+		dst = appendStreamName(dst, name)
+	}
 	return codec.Finish(dst, start)
 }
 
-// decodeStreamQueryFrame parses an squery frame payload. The returned
-// name aliases payload.
+// decodeStreamPointsFrame validates an spoint payload (after the type
+// byte). names is the still-encoded list of n names, aliasing payload,
+// for walking with splitStreamName. A count the payload cannot hold
+// (every name costs at least three bytes), or whose worst-case reply
+// would outgrow MaxFrame, is refused before the walk.
 //
 //swat:noalloc
-func decodeStreamQueryFrame(payload []byte) (name []byte, epoch uint64, age int, err error) {
+func decodeStreamPointsFrame(payload []byte) (epoch uint64, age, n int, names []byte, err error) {
 	epoch, payload, err = splitEpoch(payload)
-	if err != nil {
-		return nil, 0, 0, err
+	if err != nil || len(payload) < 8 {
+		return 0, 0, 0, nil, errFrameTruncated
 	}
-	name, rest, err := splitStreamName(payload)
-	if err != nil {
-		return nil, 0, 0, err
+	age = int(int32(binary.BigEndian.Uint32(payload)))
+	n = int(binary.BigEndian.Uint32(payload[4:]))
+	names = payload[8:]
+	if n == 0 || n > len(names)/3 || spointResHdr+n*spointEntryMax > MaxFrame {
+		return 0, 0, 0, nil, errFrameLength
 	}
-	if len(rest) != 4 {
-		return nil, 0, 0, errFrameLength
+	rest := names
+	for i := 0; i < n; i++ {
+		if _, rest, err = splitStreamName(rest); err != nil {
+			return 0, 0, 0, nil, err
+		}
 	}
-	return name, epoch, int(int32(binary.BigEndian.Uint32(rest))), nil
+	if len(rest) != 0 {
+		return 0, 0, 0, nil, errFrameLength
+	}
+	return epoch, age, n, names, nil
 }
 
-// appendStreamAnswerFrame appends one sanswer frame: the bounded point
-// answer plus the stream tree's arrival count, which scatter-gather
-// clients use to reason about how far a degraded node lags.
+// beginStreamPointsRes opens an spointRes frame for n entries; append
+// them with appendStreamPointOK/appendStreamPointRefused, then
+// codec.Finish from len(dst) on entry.
 //
 //swat:noalloc
-func appendStreamAnswerFrame(dst []byte, val, bound float64, arrivals int64) []byte {
-	start := len(dst)
+func beginStreamPointsRes(dst []byte, n int) []byte {
 	dst = codec.Begin(dst)
-	var b [25]byte
-	b[0] = bfSAnswer
+	var b [spointResHdr]byte
+	b[0] = bfSPointRes
+	binary.BigEndian.PutUint32(b[1:], uint32(n))
+	return append(dst, b[:]...)
+}
+
+// appendStreamPointOK appends one answered spointRes entry.
+//
+//swat:noalloc
+func appendStreamPointOK(dst []byte, val, bound float64, arrivals int64) []byte {
+	var b [spointOKLen]byte
+	b[0] = 1
 	binary.BigEndian.PutUint64(b[1:], math.Float64bits(val))
 	binary.BigEndian.PutUint64(b[9:], math.Float64bits(bound))
 	binary.BigEndian.PutUint64(b[17:], uint64(arrivals))
-	dst = append(dst, b[:]...)
-	return codec.Finish(dst, start)
+	return append(dst, b[:]...)
 }
 
-// decodeStreamAnswerFrame parses an sanswer frame payload.
+// appendStreamPointRefused appends one refused spointRes entry, its
+// message cut to maxRefusalMsg bytes.
 //
 //swat:noalloc
-func decodeStreamAnswerFrame(payload []byte) (val, bound float64, arrivals int64, err error) {
-	if len(payload) != 24 {
-		return 0, 0, 0, errFrameLength
+func appendStreamPointRefused(dst []byte, msg string) []byte {
+	if len(msg) > maxRefusalMsg {
+		msg = msg[:maxRefusalMsg]
 	}
-	val = math.Float64frombits(binary.BigEndian.Uint64(payload))
-	bound = math.Float64frombits(binary.BigEndian.Uint64(payload[8:]))
-	arrivals = int64(binary.BigEndian.Uint64(payload[16:]))
-	return val, bound, arrivals, nil
+	var b [3]byte
+	binary.BigEndian.PutUint16(b[1:], uint16(len(msg)))
+	dst = append(dst, b[:]...)
+	return append(dst, msg...)
 }
+
+// decodeStreamPointsRes parses an spointRes payload into dst, which
+// holds one slot per name sent. Refusals become *RemoteError entries,
+// the only allocation, and off the healthy path.
+//
+//swat:noalloc
+func decodeStreamPointsRes(payload []byte, dst []StreamPointResult) error {
+	if len(payload) < 4 {
+		return errFrameTruncated
+	}
+	if int(binary.BigEndian.Uint32(payload)) != len(dst) {
+		return errFrameLength
+	}
+	payload = payload[4:]
+	for i := range dst {
+		switch {
+		case len(payload) >= spointOKLen && payload[0] == 1:
+			dst[i] = StreamPointResult{
+				Value:    math.Float64frombits(binary.BigEndian.Uint64(payload[1:])),
+				Bound:    math.Float64frombits(binary.BigEndian.Uint64(payload[9:])),
+				Arrivals: int64(binary.BigEndian.Uint64(payload[17:])),
+			}
+			payload = payload[spointOKLen:]
+		case len(payload) >= 3 && payload[0] == 0:
+			n := int(binary.BigEndian.Uint16(payload[1:]))
+			if n > maxRefusalMsg || len(payload)-3 < n {
+				return errFrameLength
+			}
+			dst[i] = StreamPointResult{Err: remoteError(payload[3 : 3+n])}
+			payload = payload[3+n:]
+		default:
+			return errFrameLength
+		}
+	}
+	if len(payload) != 0 {
+		return errFrameLength
+	}
+	return nil
+}
+
+// remoteError detaches a refusal message from the read buffer.
+func remoteError(msg []byte) error { return &RemoteError{Msg: string(msg)} }
 
 // appendStreamSumFrame appends one ssum frame requesting the named
 // stream's summary; the server replies with an ordinary sumRes frame.
