@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUpdateBatchEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalBinary$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMergeEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAccumulateEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzRecoverSegment$$' -fuzztime $(FUZZTIME)
 
 # Per-package coverage (printed per package by go test) plus an

@@ -226,25 +226,27 @@ func runEpoch(addr string, set uint64) {
 }
 
 func runMerge(addrs []string, lo, hi float64, age int) {
-	// Fold each summary into one accumulator tree as it arrives, so at
-	// most one fetched Summary is live at a time no matter the fleet
-	// size — the same streaming fold internal/cluster's RollUp uses.
+	// Fold each summary into one accumulator as it arrives
+	// (core.Accumulate adds aligned summaries in place), so at most one
+	// fetched Summary is live beside it no matter the fleet size — the
+	// same streaming fold internal/cluster's RollUp uses over its
+	// per-node partials.
 	opts := core.MergeOptions{ValueLo: lo, ValueHi: hi}
-	var tr *core.Tree
+	var acc *core.Summary
 	for _, a := range addrs {
 		s, err := fetchSummary(a)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", a, err))
 		}
-		if tr == nil {
-			if tr, err = core.FromSummary(s); err != nil {
-				fatal(fmt.Errorf("%s: %w", a, err))
-			}
-			continue
-		}
-		if err := tr.MergeSummary(s, opts); err != nil {
+		if acc == nil {
+			acc = s
+		} else if acc, err = core.Accumulate(acc, s, opts); err != nil {
 			fatal(fmt.Errorf("merge %s: %w", a, err))
 		}
+	}
+	tr, err := core.FromSummary(acc)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("merged=%d window=%d streams=%d arrivals=%d taint=%d\n",
 		len(addrs), tr.WindowSize(), tr.Streams(), tr.Arrivals(), len(tr.TaintSpans()))

@@ -7,10 +7,10 @@ import (
 )
 
 // SentinelCheck enforces the sentinel-error contracts the wire and
-// cluster layers depend on (ErrDiscardConn, RemoteError, io.EOF):
-// PR 8's pool bug — a desynchronized connection re-pooled because an
-// error was mishandled on one path — is exactly the class this check
-// exists for. In server (//swat:server) and deterministic packages:
+// cluster layers depend on (ErrPoolClosed, RemoteError, io.EOF): a
+// pool that re-pools a desynchronized connection because an error was
+// mishandled on one path is exactly the class of bug this check exists
+// for. In server (//swat:server) and deterministic packages:
 //
 //   - sentinel comparisons use errors.Is, never ==/!=: any wrapping
 //     layer (fmt.Errorf %w, RemoteError) silently breaks equality;
@@ -23,7 +23,7 @@ import (
 //     guard-reference idiom is the legitimate case).
 var SentinelCheck = &Analyzer{
 	Name: "sentinelcheck",
-	Doc: "sentinel errors (ErrDiscardConn, RemoteError, io.EOF) must be matched with " +
+	Doc: "sentinel errors (ErrPoolClosed, RemoteError, io.EOF) must be matched with " +
 		"errors.Is/errors.As, never ==; error discards `_ =` need a //lint:allow reason",
 	Run: runSentinelCheck,
 }

@@ -10,7 +10,7 @@ import (
 	"io"
 )
 
-// ErrGone is the package's own sentinel, like wire.ErrDiscardConn.
+// ErrGone is the package's own sentinel, like wire.ErrPoolClosed.
 var ErrGone = errors.New("gone")
 
 // FrameError is a rich error type, like wire.RemoteError.

@@ -111,7 +111,8 @@ func spreadStreams(t *testing.T, c *Client, want int) []string {
 
 // feedRows ships count rows (one value per stream per row) and waits
 // until every live owner applied them. Returns the per-row values,
-// rows[i][j] = stream j's i-th value.
+// rows[i][j] = stream j's i-th value. The values are integers, so sums
+// are exact in any order.
 func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []string, count int) [][]float64 {
 	t.Helper()
 	rows := make([][]float64, count)
@@ -121,10 +122,18 @@ func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []str
 			rows[i][j] = float64((i*31 + j*17) % 101) // in [0,100]
 		}
 	}
+	shipRows(t, c, nodes, streams, rows)
+	return rows
+}
+
+// shipRows ships the given rows and waits until every live owner
+// applied everything the client has sent.
+func shipRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []string, rows [][]float64) {
+	t.Helper()
 	// Ship column-wise in a few batches to exercise batching.
 	batches := make([]Batch, len(streams))
 	for j, s := range streams {
-		col := make([]float64, count)
+		col := make([]float64, len(rows))
 		for i := range col {
 			col[i] = rows[i][j]
 		}
@@ -145,7 +154,7 @@ func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []str
 		}
 		for {
 			tr, err := n.mon.Tree(s)
-			if err == nil && tr.Arrivals() == int64(count) {
+			if err == nil && tr.Arrivals() == c.Sent(s) {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -154,7 +163,6 @@ func feedRows(t *testing.T, c *Client, nodes map[string]*testNode, streams []str
 			time.Sleep(time.Millisecond)
 		}
 	}
-	return rows
 }
 
 // rowSums returns the per-row sum across streams.

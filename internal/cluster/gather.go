@@ -1,10 +1,11 @@
 package cluster
 
-// Scatter-gather reads. Point queries cost one frame per owner node,
-// not a round trip per stream: each owner gets one spoint naming all of
-// its streams, under a per-node deadline, owners in parallel.
-// Cluster-wide roll-ups fetch per-stream SWSM summaries and fold them
-// into one local tree as responses arrive. Partial failure never
+// Scatter-gather reads. Both gathers cost one frame per owner node, not
+// a round trip per stream, under a per-node deadline, owners in
+// parallel: for point queries each owner gets one spoint naming all of
+// its streams; for cluster-wide roll-ups one sfold, and the owner
+// combines its own streams and ships back one SWSM summary, so the
+// client folds at most one partial per node. Partial failure never
 // silently narrows an answer: an unreachable shard degrades to the
 // declared range's midpoint with a bound of its half-width (point
 // queries) or a core.UnknownSummary stand-in whose taint widens every
@@ -14,7 +15,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -162,166 +162,155 @@ type RollUp struct {
 	NodesOK, NodesTotal int
 }
 
-// fetched is one stream summary in flight from a gather goroutine to
-// the folding loop.
-type fetched struct {
-	stream string
-	sum    *core.Summary
+// nodeFold is one owner's share of a roll-up: the request (its streams
+// as indices into the sorted stream list, their names and this
+// client's sent counts) and, once ok reports a decoded reply, the
+// partial summary of the streams it folded (nil when none) and per
+// stream the refusal that left it out.
+type nodeFold struct {
+	idxs    []int
+	names   []string
+	sent    []int64
+	sum     *core.Summary
+	refused []error
+	ok      bool
 }
 
-// RollUp fetches every registered stream's summary from its owner —
-// owners in parallel, one pooled connection each — and folds them into
-// one tree as they arrive, so peak memory holds one summary per node,
-// not one per stream. Unreachable or refused streams fold in as
-// core.UnknownSummary stand-ins sized by this client's sent count
-// (their taint widens the tree's bounds); the call errors when fewer
-// than a quorum of owners answered, or when stand-ins are needed
-// without a declared value range.
+// RollUp asks every owner to fold its own streams — owners in
+// parallel, one sfold frame each on a pooled connection — and folds the
+// per-node partials into one tree, so one summary per node crosses the
+// network, not one per stream. Owners advance streams lagging this
+// client's sent counts with tainted midpoints (multi.Monitor
+// .FoldSummary). Unreachable or refused streams fold in last as
+// core.UnknownSummary stand-ins sized by the sent count (their taint
+// widens the tree's bounds). The fold order is fixed — partials in
+// node-address order, each folded by its owner in stream-name order,
+// then stand-ins by name — so one fleet state always gives the same
+// bytes. The call errors when fewer than a quorum of owners answered,
+// or when stand-ins are needed without a declared value range.
 func (c *Client) RollUp() (*RollUp, error) {
 	streams := c.Streams()
 	if len(streams) == 0 {
 		return nil, errors.New("cluster: no streams registered")
 	}
 	p := c.pl.Load()
-	byOwner := make(map[*node][]string)
-	for _, s := range streams {
+	sent := make([]int64, len(streams))
+	byOwner := make(map[*node]*nodeFold)
+	for i, s := range streams {
+		sent[i] = c.Sent(s)
 		n := p.nodes[p.ring.Owner(s)]
-		byOwner[n] = append(byOwner[n], s)
+		f := byOwner[n]
+		if f == nil {
+			f = &nodeFold{}
+			byOwner[n] = f
+		}
+		f.idxs = append(f.idxs, i)
+		f.names = append(f.names, s)
+		f.sent = append(f.sent, sent[i])
 	}
-	results := make(chan fetched)
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		nodesOK int
-	)
+	var wg sync.WaitGroup
 	for _, addr := range p.order {
 		n := p.nodes[addr]
-		names := byOwner[n]
-		if len(names) == 0 {
+		if f := byOwner[n]; f != nil {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.foldNode(p, n, f)
+			}()
+		}
+	}
+	wg.Wait()
+
+	var (
+		acc     *core.Summary
+		err     error
+		nodesOK int
+		folded  = make([]bool, len(streams))
+	)
+	for _, addr := range p.order {
+		f := byOwner[p.nodes[addr]]
+		if f == nil || !f.ok {
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if c.fetchNode(p, n, names, results) {
-				mu.Lock()
-				nodesOK++
-				mu.Unlock()
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	// Fold as summaries arrive. The merge algebra is bit-commutative
-	// pairwise but the fold shape still follows arrival order; callers
-	// needing bit-identical roll-ups across runs fold sorted summaries
-	// themselves (the netsim harness does).
-	var (
-		tr      *core.Tree
-		got     = make(map[string]bool, len(streams))
-		folded  int
-		foldErr error
-	)
-	for f := range results {
-		got[f.stream] = true
-		if foldErr != nil {
-			continue // drain
+		nodesOK++
+		for k, i := range f.idxs {
+			folded[i] = f.refused[k] == nil
 		}
-		// A summary lagging the count we shipped means the shard lost
-		// arrivals (healed partition, shed batches): advance it with
-		// tainted midpoints so the merged bounds admit the gap instead
-		// of silently under-counting.
-		if target := c.Sent(f.stream); f.sum.Arrivals < target {
-			f.sum, foldErr = core.AdvanceSummary(f.sum, target, c.mopts)
-			if foldErr != nil {
-				continue
+		if f.sum != nil {
+			if acc, err = accumulate(acc, f.sum, c.mopts); err != nil {
+				return nil, fmt.Errorf("cluster: fold: %w", err)
 			}
 		}
-		if tr == nil {
-			tr, foldErr = core.FromSummary(f.sum)
-		} else {
-			foldErr = tr.MergeSummary(f.sum, c.mopts)
-		}
-		if foldErr == nil {
-			folded++
-		}
-	}
-	if foldErr != nil {
-		return nil, fmt.Errorf("cluster: fold: %w", foldErr)
 	}
 	if q := c.quorumOf(len(byOwner)); nodesOK < q {
 		return nil, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", nodesOK, len(byOwner), q)
 	}
 
-	// Stand-ins for everything the gather could not produce, in sorted
-	// order for determinism. Streams with a zero sent count contributed
-	// nothing, so they need no stand-in and are not missing anything.
+	// Stand-ins for everything the owners could not fold. Streams with a
+	// zero sent count contributed nothing, so they need no stand-in and
+	// are not missing anything.
+	count := 0
 	var missing []string
-	for _, s := range streams {
-		if !got[s] && c.Sent(s) > 0 {
-			missing = append(missing, s)
+	for i, s := range streams {
+		if folded[i] {
+			count++
+			continue
 		}
-	}
-	for _, s := range missing {
-		target := c.Sent(s)
-		sum, err := core.UnknownSummary(c.opts, 1, target, c.mopts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: stand-in for %q: %w", s, err)
+		if sent[i] == 0 {
+			continue
 		}
-		if tr == nil {
-			tr, err = core.FromSummary(sum)
-		} else {
-			err = tr.MergeSummary(sum, c.mopts)
+		sum, err := core.UnknownSummary(c.opts, 1, sent[i], c.mopts)
+		if err == nil {
+			acc, err = accumulate(acc, sum, c.mopts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: stand-in for %q: %w", s, err)
 		}
-		folded++
+		missing = append(missing, s)
+		count++
 	}
-	if tr == nil {
-		// Everything missing with zero sent counts: an empty cluster.
-		var err error
-		if tr, err = core.New(c.opts); err != nil {
-			return nil, err
-		}
+	var tr *core.Tree
+	if acc == nil {
+		tr, err = core.New(c.opts) // nothing folded and nothing sent
+	} else {
+		tr, err = core.FromSummary(acc)
 	}
-	sort.Strings(missing)
+	if err != nil {
+		return nil, err
+	}
 	return &RollUp{
 		Tree:       tr,
-		Streams:    folded,
+		Streams:    count,
 		Missing:    missing,
 		NodesOK:    nodesOK,
 		NodesTotal: len(byOwner),
 	}, nil
 }
 
-// fetchNode fetches one owner's summaries on one pooled connection,
-// sending each to the folding loop as it lands. Reports whether the
-// node answered (at least reachably; per-stream refusals and a partial
-// delivery don't count against it).
-func (c *Client) fetchNode(p *placement, n *node, names []string, results chan<- fetched) bool {
+// accumulate is core.Accumulate with a nil accumulator standing for
+// the empty fold.
+func accumulate(acc, s *core.Summary, o core.MergeOptions) (*core.Summary, error) {
+	if acc == nil {
+		return s, nil
+	}
+	return core.Accumulate(acc, s, o)
+}
+
+// foldNode runs owner n's sfold round trip for f. Nothing lands in f
+// until the whole reply has decoded, so pool retries after a failed
+// attempt are safe; a transport failure leaves f.ok false.
+func (c *Client) foldNode(p *placement, n *node, f *nodeFold) {
+	refused := make([]error, len(f.names))
+	var sum *core.Summary
 	err := n.pool.Do(func(bc *wire.BinClient) error {
 		bc.SetEpoch(p.ring.Epoch())
 		bc.SetDeadline(deadline(c.timeout()))
 		defer bc.SetDeadline(time.Time{})
-		for k, s := range names {
-			sum, e := bc.FetchStreamSummary(s)
-			if e != nil {
-				var remote *wire.RemoteError
-				if errors.As(e, &remote) {
-					continue // this stream becomes a stand-in
-				}
-				if k > 0 {
-					// Partial: delivered streams stand, the rest become
-					// stand-ins; no retry (summaries would duplicate) and
-					// no reuse of a connection with an abandoned reply.
-					return fmt.Errorf("%w: %w", wire.ErrDiscardConn, e)
-				}
-				return e
-			}
-			results <- fetched{stream: s, sum: sum}
-		}
-		return nil
+		var err error
+		sum, err = bc.FoldStreams(c.opts, f.names, f.sent, c.mopts, refused)
+		return err
 	})
-	return err == nil || errors.Is(err, wire.ErrDiscardConn)
+	if err == nil {
+		f.sum, f.refused, f.ok = sum, refused, true
+	}
 }

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +15,8 @@ import (
 	"time"
 
 	"github.com/streamsum/swat/internal/codec"
+	"github.com/streamsum/swat/internal/core"
+	"github.com/streamsum/swat/internal/stream"
 	"github.com/streamsum/swat/internal/wire"
 )
 
@@ -348,6 +353,314 @@ func TestPointAllSplitsLongBatches(t *testing.T) {
 	for _, i := range []int{0, perFrame - 1, perFrame, len(streams) - 1} {
 		if one := c.Point(streams[i], 1); one != all[i] {
 			t.Errorf("stream %d: one-frame answer %+v, split batch %+v", i, one, all[i])
+		}
+	}
+}
+
+// fleetOf starts n plain test nodes and returns a client config over
+// them with the node map.
+func fleetOf(t *testing.T, n int) (Config, map[string]*testNode) {
+	t.Helper()
+	nodes := map[string]*testNode{}
+	var fleet []*testNode
+	for i := 0; i < n; i++ {
+		node := startTestNode(t)
+		nodes[node.addr] = node
+		fleet = append(fleet, node)
+	}
+	return testConfig(fleet), nodes
+}
+
+// wantRollUp folds the fleet's trees on the client in RollUp's
+// documented order with plain MergeSummaries — per owner, its streams
+// by name, a stream lagging the client's sent count advanced first;
+// then the owners' partials by address — and returns the encoding
+// RollUp must reproduce.
+func wantRollUp(t *testing.T, c *Client, nodes map[string]*testNode) []byte {
+	t.Helper()
+	fold := func(acc, s *core.Summary) *core.Summary {
+		t.Helper()
+		if acc == nil {
+			return s
+		}
+		out, err := core.MergeSummaries(acc, s, c.mopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	var acc *core.Summary
+	for _, addr := range c.Ring().Nodes() {
+		var part *core.Summary
+		for _, s := range streamsOn(c, addr, c.Streams()) {
+			tr, err := nodes[addr].mon.Tree(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := tr.Export()
+			if sent := c.Sent(s); sum.Arrivals < sent {
+				if sum, err = core.AdvanceSummary(sum, sent, c.mopts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			part = fold(part, sum)
+		}
+		if part != nil {
+			acc = fold(acc, part)
+		}
+	}
+	tr, err := core.FromSummary(acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.AppendSummary(nil)
+}
+
+// checkCovers asserts the roll-up answers every age within its bound
+// of a twin fed the per-row sums, and that the bound is not zero.
+func checkCovers(t *testing.T, ru *RollUp, rows [][]float64) {
+	t.Helper()
+	twin, err := core.New(testGeometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rowSums(rows) {
+		twin.Update(v)
+	}
+	for age := 0; age < testGeometry.WindowSize; age++ {
+		gv, gb, err := ru.Tree.BoundedPoint(age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tv, _, err := twin.BoundedPoint(age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gb <= 0 || math.Abs(gv-tv) > gb+1e-9 {
+			t.Errorf("age %d: roll-up %v ± %v, twin %v", age, gv, gb, tv)
+		}
+	}
+}
+
+// streamsOn returns the given streams owned by addr, sorted.
+func streamsOn(c *Client, addr string, streams []string) []string {
+	var out []string
+	for _, s := range streams {
+		if c.Owner(s) == addr {
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRollUpOneFramePerNode pins the round-trip count: every owner gets
+// exactly one sfold and answers with one summary, so a healthy roll-up
+// decodes one summary per node, not one per stream — cold pool or warm.
+func TestRollUpOneFramePerNode(t *testing.T) {
+	cfg, nodes, proxies := proxiedFleet(t, 3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 24)
+	feedRows(t, c, nodes, streams, 64)
+
+	for pass := 0; pass < 2; pass++ {
+		for _, p := range proxies {
+			p.requests.Store(0)
+		}
+		ru, err := c.RollUp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ru.Missing) != 0 || ru.Streams != len(streams) || ru.NodesOK != 3 || ru.NodesTotal != 3 {
+			t.Errorf("pass %d: healthy roll-up %+v", pass, ru)
+		}
+		for addr, p := range proxies {
+			if got := p.requests.Load(); got != 1 {
+				t.Errorf("pass %d: node %s got %d request frames, want 1", pass, addr, got)
+			}
+		}
+	}
+}
+
+// TestRollUpNodeDiesMidBatch kills one owner after it read the sfold
+// and before it replied: exactly its streams become stand-ins, every
+// bound still covers the fault-free twin, and the quorum error fires
+// iff fewer than Quorum owners answered.
+func TestRollUpNodeDiesMidBatch(t *testing.T) {
+	cfg, nodes, proxies := proxiedFleet(t, 3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 12)
+	rows := feedRows(t, c, nodes, streams, 64)
+
+	victim := c.Owner(streams[0])
+	proxies[victim].drop.Store(true)
+	want := strings.Join(streamsOn(c, victim, streams), ",")
+	for quorum, wantErr := range map[int]bool{2: false, 3: true} {
+		c.cfg.Quorum = quorum
+		ru, err := c.RollUp()
+		if (err != nil) != wantErr {
+			t.Fatalf("quorum %d with 2 of 3 owners answering: err = %v, want error %v", quorum, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got := strings.Join(ru.Missing, ","); got != want {
+			t.Errorf("missing %v, want the dead owner's %v", got, want)
+		}
+		if ru.NodesOK != 2 || ru.Streams != len(streams) {
+			t.Errorf("roll-up counted %d nodes and %d streams", ru.NodesOK, ru.Streams)
+		}
+		checkCovers(t, ru, rows)
+	}
+
+	// A second death leaves one owner: below a quorum of two.
+	for addr, p := range proxies {
+		if addr != victim {
+			p.drop.Store(true)
+			break
+		}
+	}
+	c.cfg.Quorum = 2
+	if _, err := c.RollUp(); err == nil {
+		t.Error("RollUp met a quorum of 2 with one owner answering")
+	}
+}
+
+// TestRollUpRefusalsBecomeStandIns mixes an unknown and a cold stream
+// into healthy batches: both fold in as stand-ins, and their owners
+// still count as answered under a full-fleet quorum.
+func TestRollUpRefusalsBecomeStandIns(t *testing.T) {
+	cfg, nodes := fleetOf(t, 3)
+	cfg.Quorum = 3
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 9)
+	feedRows(t, c, nodes, streams, 64)
+	// Too few values to warm a window, and values the fleet never saw.
+	feedRows(t, c, nodes, []string{"cold"}, 3)
+	c.recordSent("ghost", 5)
+
+	ru, err := c.RollUp()
+	if err != nil {
+		t.Fatalf("refusals cost quorum: %v", err)
+	}
+	if got := strings.Join(ru.Missing, ","); got != "cold,ghost" {
+		t.Errorf("missing %v, want cold,ghost", got)
+	}
+	if ru.NodesOK != 3 || ru.Streams != len(streams)+2 {
+		t.Errorf("roll-up counted %d nodes and %d streams", ru.NodesOK, ru.Streams)
+	}
+	if _, bound, err := ru.Tree.BoundedPoint(0); err != nil || bound <= 0 {
+		t.Errorf("roll-up with stand-ins answers bound %v (%v)", bound, err)
+	}
+}
+
+// TestRollUpStaleEpoch fences one owner past the client's ring: its
+// whole batch is refused with one error frame, so all of its streams
+// become stand-ins while it still counts as answered.
+func TestRollUpStaleEpoch(t *testing.T) {
+	cfg, nodes := fleetOf(t, 3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 9)
+	rows := feedRows(t, c, nodes, streams, 64)
+	fenced := c.Owner(streams[0])
+	bc, err := wire.DialBinary(fenced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bc.SetRingEpoch(c.Ring().Epoch() + 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ru, err := c.RollUp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(ru.Missing, ","), strings.Join(streamsOn(c, fenced, streams), ","); got != want {
+		t.Errorf("missing %v, want the fenced owner's %v", got, want)
+	}
+	if ru.NodesOK != 3 {
+		t.Errorf("stale-epoch owner cost its quorum vote: %d of 3 answered", ru.NodesOK)
+	}
+	checkCovers(t, ru, rows)
+}
+
+// TestRollUpAdvancesLaggingStream loses arrivals of one stream (the
+// client counted values its owner never applied): the owner advances
+// the stream to the sent count with exactly the taint the client-side
+// AdvanceSummary gives, so the roll-up's bytes equal the client-side
+// fold's.
+func TestRollUpAdvancesLaggingStream(t *testing.T) {
+	cfg, nodes := fleetOf(t, 3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 9)
+	feedRows(t, c, nodes, streams, 64)
+	c.recordSent(streams[0], 10)
+
+	ru, err := c.RollUp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ru.Missing) != 0 || len(ru.Tree.TaintSpans()) == 0 || ru.Tree.Arrivals() != 74 {
+		t.Errorf("lagging roll-up: missing %v, taint %v, %d arrivals", ru.Missing, ru.Tree.TaintSpans(), ru.Tree.Arrivals())
+	}
+	if !bytes.Equal(ru.Tree.AppendSummary(nil), wantRollUp(t, c, nodes)) {
+		t.Error("roll-up differs from the client-side fold with AdvanceSummary")
+	}
+}
+
+// TestRollUpDeterministic folds a quiesced fleet twice: both roll-ups
+// encode byte-identically, and equal the client-side fold in the
+// documented order. The values use full float precision, so their
+// sums round differently in another order.
+func TestRollUpDeterministic(t *testing.T) {
+	cfg, nodes := fleetOf(t, 3)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	streams := spreadStreams(t, c, 30)
+	src := stream.UniformRange(11, 0, 100)
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, len(streams))
+		for j := range rows[i] {
+			rows[i][j] = src.Next()
+		}
+	}
+	shipRows(t, c, nodes, streams, rows)
+
+	want := wantRollUp(t, c, nodes)
+	for run := 0; run < 2; run++ {
+		ru, err := c.RollUp()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ru.Tree.AppendSummary(nil), want) {
+			t.Errorf("run %d: roll-up bytes differ from the ordered fold", run)
 		}
 	}
 }

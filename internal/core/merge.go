@@ -161,7 +161,33 @@ func MergeSummaries(a, b *Summary, o MergeOptions) (*Summary, error) {
 	if cb, err = fastForward(cb, target, o); err != nil {
 		return nil, fmt.Errorf("core: merge right input: %w", err)
 	}
-	return combineAligned(ca, cb)
+	// ca is a private copy by now (reconcileGeometry clones), so the
+	// aligned sum can land in it.
+	if err := addAligned(ca, cb); err != nil {
+		return nil, err
+	}
+	return ca, nil
+}
+
+// Accumulate folds s into the caller-owned accumulator acc and returns
+// a result bit-identical to MergeSummaries(acc, s, o). When both share
+// geometry and a nonzero arrival count — every step of a roll-up over
+// aligned streams — s is added into acc in place and acc itself comes
+// back, skipping the copies a general merge makes; otherwise acc is
+// left untouched and the result is MergeSummaries'. Either way, use the
+// returned summary from then on. s is never modified.
+func Accumulate(acc, s *Summary, o MergeOptions) (*Summary, error) {
+	if acc.Arrivals == 0 || acc.Arrivals != s.Arrivals || acc.WindowSize != s.WindowSize ||
+		acc.MinLevel != s.MinLevel || acc.Coefficients != s.Coefficients ||
+		o.check() != nil || acc.Validate() != nil || s.Validate() != nil {
+		// Identities, reconciliation, and every error the general merge
+		// reports.
+		return MergeSummaries(acc, s, o)
+	}
+	if err := addAligned(acc, s); err != nil {
+		return nil, err
+	}
+	return acc, nil
 }
 
 // MergedTree merges two live trees into a new one, leaving both inputs
@@ -255,7 +281,7 @@ func UnknownSummary(opts Options, streams int, arrivals int64, o MergeOptions) (
 		return nil, err
 	}
 	st.streams = streams
-	s := st.exportSummary()
+	s := st.exportSummary(nil)
 	if arrivals == 0 {
 		return s, nil
 	}
@@ -399,58 +425,49 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 		}
 		from = target - warm + 1
 	}
-	out := st.exportSummary()
+	out := st.exportSummary(nil)
 	if half > 0 {
 		out.Taint = append(out.Taint, TaintSpan{From: from, To: target, Half: half})
 	}
 	return out, nil
 }
 
-// combineAligned sums two summaries of identical geometry and arrival
-// count. Nodes combine where both sides are valid (births must agree —
-// the refresh schedule is a pure function of the arrival counter, so a
+// addAligned adds b into a, two summaries of identical geometry and
+// arrival count: the one place the aligned-merge arithmetic lives.
+// Nodes combine where both sides are valid (births must agree — the
+// refresh schedule is a pure function of the arrival counter, so a
 // divergence means the inputs were not what they claim); a one-sided
 // validity leaves the merged node invalid, which degrades query
-// resolution but never correctness.
-func combineAligned(a, b *Summary) (*Summary, error) {
+// resolution but never correctness. On error a is unchanged.
+func addAligned(a, b *Summary) error {
 	if len(a.Ring) != len(b.Ring) || len(a.Nodes) != len(b.Nodes) {
-		return nil, fmt.Errorf("core: internal error: aligned summaries disagree in shape")
-	}
-	out := &Summary{
-		WindowSize:   a.WindowSize,
-		MinLevel:     a.MinLevel,
-		Coefficients: a.Coefficients,
-		Streams:      a.Streams + b.Streams,
-		Arrivals:     a.Arrivals,
-		NodeUpdates:  a.NodeUpdates,
-		Ring:         make([]float64, len(a.Ring)),
-		Nodes:        make([]SummaryNode, len(a.Nodes)),
-	}
-	if b.NodeUpdates > out.NodeUpdates {
-		out.NodeUpdates = b.NodeUpdates
-	}
-	for i := range out.Ring {
-		out.Ring[i] = a.Ring[i] + b.Ring[i]
+		return fmt.Errorf("core: internal error: aligned summaries disagree in shape")
 	}
 	for i := range a.Nodes {
 		na, nb := &a.Nodes[i], &b.Nodes[i]
-		sn := SummaryNode{Level: na.Level, Role: na.Role}
-		if na.Valid && nb.Valid {
-			if na.Birth != nb.Birth {
-				return nil, fmt.Errorf("core: merge: node %v%d births diverge (%d vs %d) despite equal arrivals", na.Role, na.Level, na.Birth, nb.Birth)
-			}
-			sn.Valid, sn.Birth = true, na.Birth
-			sn.Coeffs = make([]float64, len(na.Coeffs))
-			for j := range sn.Coeffs {
-				sn.Coeffs[j] = na.Coeffs[j] + nb.Coeffs[j]
-			}
+		if na.Valid && nb.Valid && na.Birth != nb.Birth {
+			return fmt.Errorf("core: merge: node %v%d births diverge (%d vs %d) despite equal arrivals", na.Role, na.Level, na.Birth, nb.Birth)
 		}
-		out.Nodes[i] = sn
 	}
-	spans := make([]TaintSpan, 0, len(a.Taint)+len(b.Taint))
-	spans = append(append(spans, a.Taint...), b.Taint...)
-	out.Taint = normalizeTaint(spans, out.Arrivals, out.WindowSize)
-	return out, nil
+	a.Streams += b.Streams
+	if b.NodeUpdates > a.NodeUpdates {
+		a.NodeUpdates = b.NodeUpdates
+	}
+	for i := range a.Ring {
+		a.Ring[i] += b.Ring[i]
+	}
+	for i := range a.Nodes {
+		na, nb := &a.Nodes[i], &b.Nodes[i]
+		if !na.Valid || !nb.Valid {
+			*na = SummaryNode{Level: na.Level, Role: na.Role}
+			continue
+		}
+		for j := range na.Coeffs {
+			na.Coeffs[j] += nb.Coeffs[j]
+		}
+	}
+	a.Taint = normalizeTaint(append(a.Taint, b.Taint...), a.Arrivals, a.WindowSize)
+	return nil
 }
 
 // normalizeTaint prunes spans no served block can reach anymore,

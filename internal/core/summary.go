@@ -216,28 +216,46 @@ func (s *Summary) Validate() error {
 
 // Export snapshots the tree as a Summary: an isolated, level-aligned
 // copy of its complete state, safe to retain, merge, and ship.
-func (t *Tree) Export() *Summary {
+func (t *Tree) Export() *Summary { return t.ExportInto(nil) }
+
+// ExportInto is Export into dst's storage, reused wherever it is large
+// enough, so a caller exporting many trees of one geometry in turn — a
+// roll-up fold — allocates nothing per tree once dst has grown. The
+// result is dst (a new summary when dst is nil) and stays valid until
+// dst is exported into again.
+func (t *Tree) ExportInto(dst *Summary) *Summary {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.exportSummary()
+	return t.exportSummary(dst)
 }
 
 // exportSummary builds the Summary for a state the caller has
-// synchronized access to (the tree lock, or a detached state).
-func (t *treeState) exportSummary() *Summary {
-	s := &Summary{
+// synchronized access to (the tree lock, or a detached state), in
+// dst's storage when dst is not nil.
+func (t *treeState) exportSummary(dst *Summary) *Summary {
+	if dst == nil {
+		dst = &Summary{}
+	}
+	ring, nodes := dst.Ring, dst.Nodes
+	if cap(ring) < t.recentLen {
+		ring = make([]float64, t.recentLen)
+	}
+	if cap(nodes) < t.numNodes() {
+		nodes = make([]SummaryNode, t.numNodes())
+	}
+	*dst = Summary{
 		WindowSize:   t.n,
 		MinLevel:     t.minLevel,
 		Coefficients: t.k,
 		Streams:      t.streams,
 		Arrivals:     t.arrivals,
 		NodeUpdates:  t.nodeUpdates,
-		Ring:         make([]float64, t.recentLen),
-		Nodes:        make([]SummaryNode, 0, t.numNodes()),
-		Taint:        append([]TaintSpan(nil), t.taint...),
+		Ring:         ring[:t.recentLen],
+		Nodes:        nodes[:0],
+		Taint:        append(dst.Taint[:0], t.taint...),
 	}
-	for age := 0; age < t.recentLen; age++ {
-		s.Ring[age] = t.ringAt(age)
+	for age := range dst.Ring {
+		dst.Ring[age] = t.ringAt(age)
 	}
 	for l := t.minLevel; l < t.levels; l++ {
 		for role := Right; int(role) < t.rolesAt(l); role++ {
@@ -245,12 +263,13 @@ func (t *treeState) exportSummary() *Summary {
 			sn := SummaryNode{Level: l, Role: role, Valid: nd.valid}
 			if nd.valid {
 				sn.Birth = nd.birth
-				sn.Coeffs = append([]float64(nil), nd.coeffs...)
+				// The slot's previous coefficients, if any, take the copy.
+				sn.Coeffs = append(nodes[:cap(nodes)][len(dst.Nodes)].Coeffs[:0], nd.coeffs...)
 			}
-			s.Nodes = append(s.Nodes, sn)
+			dst.Nodes = append(dst.Nodes, sn)
 		}
 	}
-	return s
+	return dst
 }
 
 // AppendSummary appends the tree's encoded summary — one self-contained
@@ -306,6 +325,35 @@ func (t *treeState) appendSummary(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(sp.Half))
 	}
 	return codec.Finish(dst, start)
+}
+
+// summaryHeaderLen is the fixed part of a summary body: magic, version,
+// N, minLevel, k, streams, arrivals, nodeUpdates and the ring length.
+const summaryHeaderLen = len(summaryMagic) + 1 + 4 + 1 + 4 + 4 + 8 + 8 + 4
+
+// MaxSummaryLen bounds the encoded length, codec frame included, of a
+// summary of the given geometry: a full ring, every node valid, and
+// maxTaintSpans+1 taint spans — the merge cap plus the one span
+// AdvanceSummary may add to a single stream. Transports size frames
+// by it before the summary exists.
+func MaxSummaryLen(opts Options) (int, error) {
+	k := opts.Coefficients
+	if k == 0 {
+		k = 1
+	}
+	if err := checkGeometry(opts.WindowSize, k, opts.MinLevel); err != nil {
+		return 0, err
+	}
+	levels := wavelet.Log2(opts.WindowSize)
+	n := codec.HeaderLen + summaryHeaderLen + 8<<uint(opts.MinLevel+1)
+	for l := opts.MinLevel; l < levels; l++ {
+		roles := 3
+		if l == levels-1 {
+			roles = 1
+		}
+		n += roles * (1 + 8 + 8*coeffLenFor(l, k))
+	}
+	return n + 4 + 24*(maxTaintSpans+1), nil
 }
 
 // sumReader is a cursor over a summary body with sticky truncation

@@ -59,6 +59,81 @@ func (m *Monitor) MergeFrom(src *Monitor, o core.MergeOptions) error {
 	return nil
 }
 
+// FoldSummary folds the named streams into one summary of their
+// time-aligned sum — the combiner step of a cluster roll-up, so one
+// summary per node crosses the network instead of one per stream.
+// Streams fold in names order: each tree is exported, advanced with
+// tainted midpoints when it lags sent[i] (the count the caller shipped
+// for it: the shard lost arrivals, and the bounds must admit the gap),
+// and accumulated in place. A name this monitor does not hold, a tree
+// that has not warmed up, or a stream the fold rejects is left out,
+// with its reason in refused[i]. The result is nil when nothing
+// folded. The fold only reads the trees, so durable monitors are
+// allowed.
+func (m *Monitor) FoldSummary(names []string, sent []int64, o core.MergeOptions, refused []error) (*core.Summary, error) {
+	if len(sent) != len(names) || len(refused) != len(names) {
+		return nil, fmt.Errorf("multi: fold of %d streams given %d sent counts and %d refusal slots", len(names), len(sent), len(refused))
+	}
+	m.reg.RLock()
+	if m.closed {
+		m.reg.RUnlock()
+		return nil, fmt.Errorf("multi: monitor closed")
+	}
+	trees := make([]*core.Tree, len(names))
+	for i, name := range names {
+		if idx, ok := m.byName[name]; ok {
+			trees[i] = m.trees[idx]
+		}
+	}
+	m.reg.RUnlock()
+
+	var acc, scratch *core.Summary
+	for i, tree := range trees {
+		refused[i] = nil
+		if tree == nil {
+			refused[i] = fmt.Errorf("multi: unknown stream %q", names[i])
+			continue
+		}
+		// Once the accumulator exists, every export lands in one scratch
+		// summary: the fold makes no garbage per stream.
+		var s *core.Summary
+		if acc == nil {
+			s = tree.Export()
+		} else {
+			s = tree.ExportInto(scratch)
+			scratch = s
+		}
+		if !warm(s) {
+			refused[i] = fmt.Errorf("multi: stream %q is cold: its tree has not warmed up", names[i])
+			continue
+		}
+		var err error
+		if s.Arrivals < sent[i] {
+			s, err = core.AdvanceSummary(s, sent[i], o)
+		}
+		if err == nil && acc != nil {
+			s, err = core.Accumulate(acc, s, o)
+		}
+		if err != nil {
+			refused[i] = fmt.Errorf("multi: fold %q: %w", names[i], err)
+			continue // a failed Accumulate leaves acc as it was
+		}
+		acc = s
+	}
+	return acc, nil
+}
+
+// warm reports whether an exported tree could answer every age: all
+// of its nodes are valid (Tree.Ready, on the snapshot).
+func warm(s *core.Summary) bool {
+	for _, nd := range s.Nodes {
+		if !nd.Valid {
+			return false
+		}
+	}
+	return true
+}
+
 // InstallSummary replaces the named stream's state with the state the
 // summary describes — the install step of summary handoff during live
 // resharding (see internal/cluster.Rebalance). Unlike MergeSummary

@@ -18,11 +18,14 @@ import (
 // streamBatchLimit, appendStreamName, splitStreamName,
 // appendStreamDataFrame, decodeStreamDataFrame, spointFit,
 // appendStreamPointsFrame, decodeStreamPointsFrame,
-// beginStreamPointsRes, appendStreamPointOK, appendStreamPointRefused,
-// decodeStreamPointsRes (answered entries), and appendStreamSumFrame.
+// beginStreamPointsRes, appendStreamPointOK, appendRefusal,
+// splitRefusal, decodeStreamPointsRes (answered entries), sfoldFit,
+// appendStreamFoldFrame, decodeStreamFoldFrame, splitFoldEntry,
+// beginStreamFoldRes, and appendStreamSumFrame.
 func TestStreamCodecDoesNotAllocate(t *testing.T) {
 	const name = "cpu.load"
 	names := []string{name, "mem.free"}
+	sent := []int64{64, 65}
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i) * 0.25
@@ -62,7 +65,25 @@ func TestStreamCodecDoesNotAllocate(t *testing.T) {
 		if err := decodeStreamPointsRes(frame[codec.HeaderLen+1:], res); err != nil {
 			return err
 		}
-		refused = appendStreamPointRefused(refused[:0], "core: tree not ready")
+		refused = appendRefusal(refused[:0], "core: tree not ready")
+		if _, _, err := splitRefusal(refused); err != nil {
+			return err
+		}
+
+		if sfoldFit(names, 4096) != len(names) {
+			return errFrameLength
+		}
+		frame = appendStreamFoldFrame(frame[:0], 1, core.MergeOptions{ValueHi: 1}, names, sent)
+		_, _, n, entries, err := decodeStreamFoldFrame(frame[codec.HeaderLen+1:])
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if _, _, entries, err = splitFoldEntry(entries); err != nil {
+				return err
+			}
+		}
+		frame = beginStreamFoldRes(frame[:0], len(names))
 
 		frame = appendStreamSumFrame(frame[:0], name, 1)
 		return nil

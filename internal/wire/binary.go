@@ -41,6 +41,11 @@ package wire
 //	spointRes s→c  u32 n | n × (u8 1 | f64 value | f64 bound | u64 arrivals
 //	                            or u8 0 | u16 len | msg)
 //	ssum      c→s  u64 epoch | u16 nameLen | name  (reply: sumRes)
+//	sfold     c→s  u64 epoch | f64 lo | f64 hi | u32 n |
+//	               n × (u16 nameLen | name | u64 sent)
+//	sfoldRes  s→c  u32 n | n × (u8 1 or u8 0 | u16 len | msg) |
+//	               one summary codec frame of the folded streams
+//	               (absent when none folded)
 //	epoch     c→s  u8 op (0 get, 1 set) | u64 epoch
 //	epochRes  s→c  u64 epoch   (the server's epoch after the op)
 //	migRead   c→s  u16 nameLen | name | u64 offset | u32 crc | u32 max
@@ -122,6 +127,11 @@ const (
 	// one-stream query pair, stay unassigned.
 	bfSPoint    = 0x19
 	bfSPointRes = 0x1A
+	// Batched stream folds: one sfold names every stream a node owns
+	// with the client's sent count; the node folds them itself and one
+	// sfoldRes carries the per-name statuses and one summary.
+	bfSFold    = 0x1B
+	bfSFoldRes = 0x1C
 )
 
 const (

@@ -258,6 +258,78 @@ func (c *BinClient) streamPointsFrame(names []string, age int, dst []StreamPoint
 	return decodeStreamPointsRes(body[1:], dst)
 }
 
+// FoldStreams asks the server to fold the named streams into one
+// summary of their time-aligned sum (multi.Monitor.FoldSummary), each
+// first advanced to sent[i], the count this client shipped for it.
+// Refusals, per stream or per frame, land in refused[i] as a
+// *RemoteError and leave that stream out; the summary is nil when
+// nothing folded. The request is one sfold frame unless it, or its
+// worst-case reply for the fleet's tree geometry geo, would outgrow
+// MaxFrame; the partials of a split fold in request order. The
+// returned error is a transport, framing or fold failure, after which
+// refused is unspecified. Runs under the caller's SetDeadline.
+func (c *BinClient) FoldStreams(geo core.Options, names []string, sent []int64, o core.MergeOptions, refused []error) (*core.Summary, error) {
+	if len(sent) != len(names) || len(refused) != len(names) {
+		return nil, fmt.Errorf("wire: fold of %d streams given %d sent counts and %d refusal slots", len(names), len(sent), len(refused))
+	}
+	for _, name := range names {
+		if len(name) == 0 || len(name) > maxStreamName {
+			return nil, errStreamName
+		}
+	}
+	sumMax, err := core.MaxSummaryLen(geo)
+	if err != nil {
+		return nil, err
+	}
+	var acc *core.Summary
+	for len(names) > 0 {
+		k := sfoldFit(names, sumMax)
+		if k == 0 {
+			return nil, errSummaryLarge
+		}
+		part, err := c.streamFoldFrame(names[:k], sent[:k], o, refused[:k])
+		if err != nil {
+			return nil, err
+		}
+		if acc == nil {
+			acc = part
+		} else if part != nil {
+			if acc, err = core.Accumulate(acc, part, o); err != nil {
+				return nil, err
+			}
+		}
+		names, sent, refused = names[k:], sent[k:], refused[k:]
+	}
+	return acc, nil
+}
+
+// streamFoldFrame is one sfold/sfoldRes round trip, returning the
+// decoded partial summary (nil when nothing folded).
+//
+//swat:deadline-held
+func (c *BinClient) streamFoldFrame(names []string, sent []int64, o core.MergeOptions, refused []error) (*core.Summary, error) {
+	c.wbuf = appendStreamFoldFrame(c.wbuf[:0], c.epoch, o, names, sent)
+	body, err := c.roundTripBin()
+	if err != nil {
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			return nil, err
+		}
+		for i := range refused {
+			refused[i] = remote
+		}
+		return nil, nil
+	}
+	if body[0] != bfSFoldRes {
+		return nil, errFrameType
+	}
+	sum, err := decodeStreamFoldRes(body[1:], refused)
+	if err != nil || sum == nil {
+		return nil, err
+	}
+	return core.DecodeSummary(sum)
+}
+
 // FetchStreamSummary fetches the named stream's mergeable summary,
 // detached from the client's buffers (see FetchSummary).
 func (c *BinClient) FetchStreamSummary(name string) (*core.Summary, error) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/streamsum/swat/internal/codec"
+	"github.com/streamsum/swat/internal/core"
 	"github.com/streamsum/swat/internal/query"
 )
 
@@ -43,7 +44,7 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(appendStreamPointsFrame(nil, 7, 2, []string{"cpu.load", "mem", "disk.io"}))
 	res := beginStreamPointsRes(nil, 2)
 	res = appendStreamPointOK(res, 1.5, 0.25, 42)
-	f.Add(codec.Finish(appendStreamPointRefused(res, "core: not covered"), 0))
+	f.Add(codec.Finish(appendRefusal(res, "core: not covered"), 0))
 	// Hostile counts and lengths: name and entry counts no payload could
 	// hold, and name and message lengths past their caps.
 	spoint := func(n uint32, nameLen uint16) []byte {
@@ -56,6 +57,30 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(spoint(0xFFFFFFFF, 1))
 	f.Add(spoint(1, 0xFFFF))
 	f.Add(codec.Finish(append(codec.Begin(nil), bfSPointRes, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0xFF, 0xFF), 0))
+	// Batched folds: a request, replies with and without a summary, a
+	// reply whose summary is cut short, and hostile counts and lengths.
+	f.Add(appendStreamFoldFrame(nil, 7, core.MergeOptions{ValueHi: 100}, []string{"cpu.load", "mem"}, []int64{64, 70}))
+	tr, err := core.New(core.Options{WindowSize: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		tr.Update(float64(i))
+	}
+	folded := tr.AppendSummary(append(appendRefusal(beginStreamFoldRes(nil, 2), "multi: unknown stream"), 1))
+	f.Add(codec.Finish(folded, 0))
+	f.Add(codec.Finish(folded[:len(folded)-9], 0))
+	f.Add(codec.Finish(appendRefusal(beginStreamFoldRes(nil, 1), "core: cold"), 0))
+	sfold := func(n uint32, nameLen uint16) []byte {
+		b := append(codec.Begin(nil), bfSFold)
+		b = append(b, make([]byte, 24)...) // epoch, lo, hi
+		b = binary.BigEndian.AppendUint32(b, n)
+		b = binary.BigEndian.AppendUint16(b, nameLen)
+		return codec.Finish(append(b, 's', 0, 0, 0, 0, 0, 0, 0, 1), 0)
+	}
+	f.Add(sfold(0xFFFFFFFF, 1))
+	f.Add(sfold(1, 0xFFFF))
+	f.Add(codec.Finish(append(codec.Begin(nil), bfSFoldRes, 0xFF, 0xFF, 0xFF, 0xFF, 1), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, buf, err := readBinFrame(bytes.NewReader(data), nil)
@@ -155,12 +180,53 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 			for _, r := range dst {
 				var remote *RemoteError
 				if errors.As(r.Err, &remote) {
-					re = appendStreamPointRefused(re, remote.Msg)
+					re = appendRefusal(re, remote.Msg)
 				} else {
 					re = appendStreamPointOK(re, r.Value, r.Bound, r.Arrivals)
 				}
 			}
 			checkReencode(t, "spointRes", body, codec.Finish(re, 0))
+		case bfSFold:
+			epoch, o, n, entries, err := decodeStreamFoldFrame(payload)
+			if err != nil {
+				return
+			}
+			if n > len(payload)/sfoldEntryMin || sfoldResHdr+n*spointEntryMax > MaxFrame {
+				t.Fatalf("sfold accepted %d names from a %d-byte payload", n, len(payload))
+			}
+			names, sent := make([]string, n), make([]int64, n)
+			for i := range names {
+				var name []byte
+				name, sent[i], entries, _ = splitFoldEntry(entries)
+				names[i] = string(name)
+			}
+			checkReencode(t, "sfold", body, appendStreamFoldFrame(nil, epoch, o, names, sent))
+		case bfSFoldRes:
+			// Every status is at least one byte, so that bounds the count.
+			if len(payload) < 4 || int(binary.BigEndian.Uint32(payload)) > len(payload)-4 {
+				return
+			}
+			refused := make([]error, binary.BigEndian.Uint32(payload))
+			sum, err := decodeStreamFoldRes(payload, refused)
+			if err != nil {
+				return
+			}
+			re := beginStreamFoldRes(nil, len(refused))
+			for _, r := range refused {
+				var remote *RemoteError
+				if errors.As(r, &remote) {
+					re = appendRefusal(re, remote.Msg)
+				} else {
+					re = append(re, 1)
+				}
+			}
+			checkReencode(t, "sfoldRes", body, codec.Finish(append(re, sum...), 0))
+			if sum != nil {
+				// The summary self-validates; a cut or corrupt one is an
+				// error, never a panic.
+				//lint:allow sentinelcheck fuzzing for panics, not errors: any error return is a valid outcome
+				_, _ = core.DecodeSummary(sum)
+			}
 		}
 	})
 }

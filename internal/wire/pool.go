@@ -67,16 +67,6 @@ type PoolStats struct {
 // ErrPoolClosed is returned by Get and Do after Close.
 var ErrPoolClosed = errors.New("wire: pool closed")
 
-// ErrDiscardConn is a sentinel for Do callbacks that settle their
-// result despite a mid-pipeline transport failure (e.g. degrading the
-// remaining requests) but leave the connection with an abandoned
-// in-flight request. The protocol has no request IDs, so such a
-// connection must never be reused: a later request could read the
-// stale reply as its own. fn returns an error wrapping ErrDiscardConn
-// and Do discards the connection and returns the error without
-// retrying.
-var ErrDiscardConn = errors.New("wire: connection abandoned mid-pipeline")
-
 func (p *BinPool) maxIdle() int {
 	if p.MaxIdle <= 0 {
 		return 2
@@ -223,11 +213,10 @@ func (p *BinPool) Discard(c *BinClient) {
 // Do runs fn with a pooled client, retrying on transport errors with
 // fresh connections (up to MaxAttempts total attempts under backoff).
 // A *RemoteError returns immediately with the connection pooled — the
-// server is healthy, it just said no; an fn error wrapping
-// ErrDiscardConn returns immediately with the connection discarded.
-// A Get failure is terminal: Get already exhausted its own dial
-// retries (or the server refused the handshake), so Do's loop only
-// re-attempts fn failures on connections that did dial. fn must be
+// server is healthy, it just said no. A Get failure is terminal: Get
+// already exhausted its own dial retries (or the server refused the
+// handshake), so Do's loop only re-attempts fn failures on connections
+// that did dial. fn must be
 // idempotent: a transport error may strike after the server acted, so
 // Do is for reads (queries, summaries, stats); one-way ingest manages
 // its own at-most-once accounting.
@@ -260,10 +249,6 @@ func (p *BinPool) DoCtx(ctx context.Context, fn func(*BinClient) error) error {
 		if err == nil {
 			p.Put(c)
 			return nil
-		}
-		if errors.Is(err, ErrDiscardConn) {
-			p.Discard(c)
-			return err
 		}
 		var remote *RemoteError
 		if errors.As(err, &remote) {

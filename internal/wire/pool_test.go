@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -169,39 +168,6 @@ func TestPoolDoesNotRetryRemoteErrors(t *testing.T) {
 	}
 	if st.Idle != 1 {
 		t.Errorf("idle = %d, want 1 (connection pooled after refusal)", st.Idle)
-	}
-}
-
-// TestPoolDiscardsAbandonedConnections: a callback that settles a
-// partial result around a mid-pipeline failure wraps ErrDiscardConn —
-// Do must discard the connection (a stale in-flight reply could
-// otherwise answer the next request) and return without retrying.
-func TestPoolDiscardsAbandonedConnections(t *testing.T) {
-	addr, _, shutdown := startServer(t, core.Options{WindowSize: 16})
-	defer shutdown()
-	p := &BinPool{Addr: addr}
-	defer p.Close()
-
-	calls := 0
-	err := p.Do(func(c *BinClient) error {
-		calls++
-		return fmt.Errorf("%w: simulated mid-pipeline failure", ErrDiscardConn)
-	})
-	if !errors.Is(err, ErrDiscardConn) {
-		t.Fatalf("Do error = %v, want ErrDiscardConn", err)
-	}
-	if calls != 1 {
-		t.Errorf("abandoned connection was retried: %d calls", calls)
-	}
-	st := p.Stats()
-	if st.Discards != 1 {
-		t.Errorf("discards = %d, want 1", st.Discards)
-	}
-	if st.Idle != 0 {
-		t.Errorf("idle = %d, want 0 (abandoned connection must not be pooled)", st.Idle)
-	}
-	if st.Retries != 0 {
-		t.Errorf("retries = %d, want 0", st.Retries)
 	}
 }
 

@@ -128,6 +128,8 @@ func (s *Server) dispatchBinary(bc *binConn, body []byte) error {
 		return s.handleStreamPoints(bc, body[1:])
 	case bfSSum:
 		return s.handleStreamSummary(bc, body[1:])
+	case bfSFold:
+		return s.handleStreamFold(bc, body[1:])
 	case bfPing:
 		if len(body) != 9 {
 			return errFrameTruncated

@@ -24,11 +24,11 @@ type streamHandle struct {
 }
 
 // UseMonitor attaches a stream monitor, enabling the stream-addressed
-// v2 frames (sdata/spoint/ssum). Unknown streams named by sdata frames
-// are registered on first use, so a cluster client never pre-declares
-// placement; queries against unknown streams are soft errors. Install
-// before data flows; the caller keeps ownership and closes the monitor
-// after the server shuts down.
+// v2 frames (sdata/spoint/ssum/sfold). Unknown streams named by sdata
+// frames are registered on first use, so a cluster client never
+// pre-declares placement; queries against unknown streams are soft
+// errors. Install before data flows; the caller keeps ownership and
+// closes the monitor after the server shuts down.
 func (s *Server) UseMonitor(m *multi.Monitor) error {
 	if m == nil {
 		return errors.New("wire: nil monitor")
@@ -160,10 +160,67 @@ func (s *Server) handleStreamPoints(bc *binConn, payload []byte) error {
 			val, bound, err = h.tree.BoundedPoint(age)
 		}
 		if err != nil {
-			bc.wbuf = appendStreamPointRefused(bc.wbuf, err.Error())
+			bc.wbuf = appendRefusal(bc.wbuf, err.Error())
 			continue
 		}
 		bc.wbuf = appendStreamPointOK(bc.wbuf, val, bound, h.tree.Arrivals())
+	}
+	bc.wbuf = codec.Finish(bc.wbuf, 0)
+	return s.binWrite(bc)
+}
+
+// handleStreamFold answers one sfold frame with one sfoldRes: the
+// monitor folds every named stream it can (multi.Monitor.FoldSummary,
+// which also advances streams lagging the client's sent counts) and
+// the reply carries a status per name plus one summary. A stale epoch
+// refuses the whole frame with one soft error frame; an unknown or cold
+// stream refuses only its own entry.
+func (s *Server) handleStreamFold(bc *binConn, payload []byte) error {
+	epoch, o, n, entries, err := decodeStreamFoldFrame(payload)
+	if err != nil {
+		return err
+	}
+	if err := s.epochCheck(epoch); err != nil {
+		s.binError(bc, err)
+		return nil
+	}
+	mon := s.Monitor()
+	if mon == nil {
+		s.binError(bc, errNoMonitor)
+		return nil
+	}
+	names, sent := make([]string, n), make([]int64, n)
+	for i := range names {
+		var name []byte
+		name, sent[i], entries, _ = splitFoldEntry(entries) // validated by the decode
+		names[i] = string(name)
+	}
+	refused := make([]error, n)
+	sum, err := mon.FoldSummary(names, sent, o, refused)
+	if err != nil {
+		s.binError(bc, err)
+		return nil
+	}
+	bc.wbuf = beginStreamFoldRes(bc.wbuf[:0], n)
+	for _, r := range refused {
+		if r != nil {
+			bc.wbuf = appendRefusal(bc.wbuf, r.Error())
+		} else {
+			bc.wbuf = append(bc.wbuf, 1)
+		}
+	}
+	if sum != nil {
+		tree, err := core.FromSummary(sum)
+		if err != nil {
+			// Unreachable: the fold's output always validates.
+			s.binError(bc, err)
+			return nil
+		}
+		bc.wbuf = tree.AppendSummary(bc.wbuf)
+	}
+	if len(bc.wbuf)-codec.HeaderLen > MaxFrame {
+		s.binError(bc, errSummaryLarge)
+		return nil
 	}
 	bc.wbuf = codec.Finish(bc.wbuf, 0)
 	return s.binWrite(bc)

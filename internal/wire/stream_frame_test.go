@@ -54,7 +54,7 @@ func TestStreamFrameRoundTrips(t *testing.T) {
 	long := strings.Repeat("m", 2*maxRefusalMsg)
 	a := beginStreamPointsRes(nil, 2)
 	a = appendStreamPointOK(a, 3.5, 0.25, 42)
-	a = codec.Finish(appendStreamPointRefused(a, long), 0)
+	a = codec.Finish(appendRefusal(a, long), 0)
 	res := make([]StreamPointResult, 2)
 	if err := decodeStreamPointsRes(a[codec.HeaderLen+1:], res); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,9 @@ package wire
 // streams; these frames name the stream they target, so one connection
 // can interleave traffic for any number of streams a consistent-hash
 // ring placed on this node (see internal/cluster). Each starts with a
-// ring epoch, then a length-prefixed UTF-8 name (spoint: a list of
-// them, one batched point query for every stream a node owns).
+// ring epoch, then a length-prefixed UTF-8 name (spoint and sfold: a
+// list of them, one batched point query or one roll-up fold for every
+// stream a node owns).
 //
 // The u64 epoch after the type byte is the sender's ring version (see
 // cluster.Ring.Epoch): placement fencing for live resharding. Epoch 0
@@ -22,6 +23,7 @@ import (
 	"math"
 
 	"github.com/streamsum/swat/internal/codec"
+	"github.com/streamsum/swat/internal/core"
 )
 
 // maxStreamName bounds stream names on the wire. Long names would eat
@@ -234,8 +236,8 @@ func decodeStreamPointsFrame(payload []byte) (epoch uint64, age, n int, names []
 }
 
 // beginStreamPointsRes opens an spointRes frame for n entries; append
-// them with appendStreamPointOK/appendStreamPointRefused, then
-// codec.Finish from len(dst) on entry.
+// them with appendStreamPointOK/appendRefusal, then codec.Finish from
+// len(dst) on entry.
 //
 //swat:noalloc
 func beginStreamPointsRes(dst []byte, n int) []byte {
@@ -258,11 +260,11 @@ func appendStreamPointOK(dst []byte, val, bound float64, arrivals int64) []byte 
 	return append(dst, b[:]...)
 }
 
-// appendStreamPointRefused appends one refused spointRes entry, its
+// appendRefusal appends one refused spointRes or sfoldRes entry, its
 // message cut to maxRefusalMsg bytes.
 //
 //swat:noalloc
-func appendStreamPointRefused(dst []byte, msg string) []byte {
+func appendRefusal(dst []byte, msg string) []byte {
 	if len(msg) > maxRefusalMsg {
 		msg = msg[:maxRefusalMsg]
 	}
@@ -270,6 +272,21 @@ func appendStreamPointRefused(dst []byte, msg string) []byte {
 	binary.BigEndian.PutUint16(b[1:], uint16(len(msg)))
 	dst = append(dst, b[:]...)
 	return append(dst, msg...)
+}
+
+// splitRefusal parses one refused entry, status byte included, off the
+// front of payload. The message aliases payload.
+//
+//swat:noalloc
+func splitRefusal(payload []byte) (msg, rest []byte, err error) {
+	if len(payload) < 3 || payload[0] != 0 {
+		return nil, nil, errFrameLength
+	}
+	n := int(binary.BigEndian.Uint16(payload[1:]))
+	if n > maxRefusalMsg || len(payload)-3 < n {
+		return nil, nil, errFrameLength
+	}
+	return payload[3 : 3+n], payload[3+n:], nil
 }
 
 // decodeStreamPointsRes parses an spointRes payload into dst, which
@@ -294,15 +311,13 @@ func decodeStreamPointsRes(payload []byte, dst []StreamPointResult) error {
 				Arrivals: int64(binary.BigEndian.Uint64(payload[17:])),
 			}
 			payload = payload[spointOKLen:]
-		case len(payload) >= 3 && payload[0] == 0:
-			n := int(binary.BigEndian.Uint16(payload[1:]))
-			if n > maxRefusalMsg || len(payload)-3 < n {
-				return errFrameLength
-			}
-			dst[i] = StreamPointResult{Err: remoteError(payload[3 : 3+n])}
-			payload = payload[3+n:]
 		default:
-			return errFrameLength
+			msg, rest, err := splitRefusal(payload)
+			if err != nil {
+				return err
+			}
+			dst[i] = StreamPointResult{Err: remoteError(msg)}
+			payload = rest
 		}
 	}
 	if len(payload) != 0 {
@@ -313,6 +328,149 @@ func decodeStreamPointsRes(payload []byte, dst []StreamPointResult) error {
 
 // remoteError detaches a refusal message from the read buffer.
 func remoteError(msg []byte) error { return &RemoteError{Msg: string(msg)} }
+
+// Batched fold frames (sfold/sfoldRes). The request carries the
+// client's sent count per name; the reply carries one status per name,
+// refusals as in spointRes, then one summary of the folded streams. The
+// summary's size depends only on the geometry, so the reply to n names
+// is at most sfoldResHdr + n·spointEntryMax + core.MaxSummaryLen.
+const (
+	sfoldHdr      = 1 + 8 + 8 + 8 + 4 // type, epoch, lo, hi, count
+	sfoldResHdr   = 1 + 4             // type, count
+	sfoldEntryMin = 2 + 1 + 8         // nameLen, a one-byte name, sent
+)
+
+// sfoldFit returns how many names, from the front, one sfold frame
+// carries with both it and its worst-case reply — sumMax bytes of
+// summary after the statuses — under MaxFrame; 0 when not even one
+// name fits beside the summary.
+//
+//swat:noalloc
+func sfoldFit(names []string, sumMax int) int {
+	size := sfoldHdr
+	for i, name := range names {
+		size += 2 + len(name) + 8
+		if size > MaxFrame || sfoldResHdr+(i+1)*spointEntryMax+sumMax > MaxFrame {
+			return i
+		}
+	}
+	return len(names)
+}
+
+// appendStreamFoldFrame appends one sfold frame asking the server to
+// fold the named streams, each advanced to its sent count, with o's
+// declared value range.
+//
+//swat:noalloc
+func appendStreamFoldFrame(dst []byte, epoch uint64, o core.MergeOptions, names []string, sent []int64) []byte {
+	start := len(dst)
+	dst = codec.Begin(dst)
+	dst = append(dst, bfSFold)
+	dst = appendEpoch(dst, epoch)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.ValueLo))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.ValueHi))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
+	for i, name := range names {
+		dst = appendStreamName(dst, name)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(sent[i]))
+	}
+	return codec.Finish(dst, start)
+}
+
+// decodeStreamFoldFrame validates an sfold payload (after the type
+// byte). entries is the still-encoded list of n (name, sent) pairs,
+// aliasing payload, for walking with splitFoldEntry. A count the
+// payload cannot hold, or whose statuses alone could outgrow MaxFrame,
+// is refused before the walk.
+//
+//swat:noalloc
+func decodeStreamFoldFrame(payload []byte) (epoch uint64, o core.MergeOptions, n int, entries []byte, err error) {
+	epoch, payload, err = splitEpoch(payload)
+	if err != nil || len(payload) < 20 {
+		return 0, core.MergeOptions{}, 0, nil, errFrameTruncated
+	}
+	o.ValueLo = math.Float64frombits(binary.BigEndian.Uint64(payload))
+	o.ValueHi = math.Float64frombits(binary.BigEndian.Uint64(payload[8:]))
+	n = int(binary.BigEndian.Uint32(payload[16:]))
+	entries = payload[20:]
+	if n == 0 || n > len(entries)/sfoldEntryMin || sfoldResHdr+n*spointEntryMax > MaxFrame {
+		return 0, core.MergeOptions{}, 0, nil, errFrameLength
+	}
+	rest := entries
+	for i := 0; i < n; i++ {
+		if _, _, rest, err = splitFoldEntry(rest); err != nil {
+			return 0, core.MergeOptions{}, 0, nil, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, core.MergeOptions{}, 0, nil, errFrameLength
+	}
+	return epoch, o, n, entries, nil
+}
+
+// splitFoldEntry parses one (name, sent) pair off the front of an
+// sfold entry list. The name aliases payload.
+//
+//swat:noalloc
+func splitFoldEntry(payload []byte) (name []byte, sent int64, rest []byte, err error) {
+	name, rest, err = splitStreamName(payload)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if len(rest) < 8 {
+		return nil, 0, nil, errFrameTruncated
+	}
+	return name, int64(binary.BigEndian.Uint64(rest)), rest[8:], nil
+}
+
+// beginStreamFoldRes opens an sfoldRes frame for n statuses; append
+// them (a 1 byte per folded stream, appendRefusal per refused one) and
+// the folded summary, then codec.Finish from len(dst) on entry.
+//
+//swat:noalloc
+func beginStreamFoldRes(dst []byte, n int) []byte {
+	dst = codec.Begin(dst)
+	var b [sfoldResHdr]byte
+	b[0] = bfSFoldRes
+	binary.BigEndian.PutUint32(b[1:], uint32(n))
+	return append(dst, b[:]...)
+}
+
+// decodeStreamFoldRes parses an sfoldRes payload: refused holds one
+// slot per name sent and gets nil for a folded stream, a *RemoteError
+// for a refused one. sum is the encoded summary of the folded streams,
+// aliasing payload, and nil exactly when none folded.
+func decodeStreamFoldRes(payload []byte, refused []error) (sum []byte, err error) {
+	if len(payload) < 4 {
+		return nil, errFrameTruncated
+	}
+	if int(binary.BigEndian.Uint32(payload)) != len(refused) {
+		return nil, errFrameLength
+	}
+	payload = payload[4:]
+	folded := false
+	for i := range refused {
+		if len(payload) > 0 && payload[0] == 1 {
+			refused[i] = nil
+			folded = true
+			payload = payload[1:]
+			continue
+		}
+		msg, rest, err := splitRefusal(payload)
+		if err != nil {
+			return nil, err
+		}
+		refused[i] = remoteError(msg)
+		payload = rest
+	}
+	if folded != (len(payload) > 0) {
+		return nil, errFrameLength // a summary without a folded stream, or the reverse
+	}
+	if !folded {
+		return nil, nil
+	}
+	return payload, nil
+}
 
 // appendStreamSumFrame appends one ssum frame requesting the named
 // stream's summary; the server replies with an ordinary sumRes frame.
