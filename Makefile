@@ -65,15 +65,14 @@ race-migrate:
 
 verify: build vet lint test race race-merge race-cluster race-migrate bench-smoke bench-cluster-smoke fuzz-smoke
 
-# Short coverage-guided fuzzing on every fuzz target (v1 and v2 frame
-# decoding, dispatch, batched-update equivalence, snapshot decoding,
-# WAL recovery). FUZZTIME bounds each target; 30s keeps verify usable while
+# Short coverage-guided fuzzing on every fuzz target (frame decoding,
+# server dispatch, batched-update equivalence, snapshot decoding, WAL
+# recovery). FUZZTIME bounds each target; 30s keeps verify usable while
 # still growing the corpus past the seeds. Targets run one at a time —
 # `go test -fuzz` accepts only a single matching target per package.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
-	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzServerDispatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBinaryFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeMigFrame$$' -fuzztime $(FUZZTIME)
@@ -101,8 +100,8 @@ bench-hotpath:
 bench-query:
 	scripts/bench.sh 6 query
 
-# Wire-protocol benchmarks over loopback TCP (v1 JSON baseline vs the
-# v2 binary data plane); writes BENCH_wire.{txt,json}.
+# Wire-protocol benchmarks over loopback TCP (binary ingest, acknowledged
+# ingest and batched queries); writes BENCH_wire.{txt,json}.
 bench-wire:
 	scripts/bench.sh 6 wire
 

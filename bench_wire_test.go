@@ -1,9 +1,9 @@
 package swat_test
 
-// Wire-protocol benchmarks over real loopback TCP: the v1 JSON
-// round-trip baseline against the v2 binary data plane. One op is one
-// message (one v1 Feed round trip, or one v2 data frame), so ns/op is
-// per-message cost and the reported msgs/s columns compare directly.
+// Wire-protocol benchmarks over real loopback TCP for the binary data
+// plane. One op is one message (one data frame, or one acknowledged or
+// query round trip), so ns/op is per-message cost and the reported
+// msgs/s columns compare directly.
 // `make bench-wire` digests these into BENCH_wire.{txt,json}; the v2
 // ingest rows must show 0 allocs/op — the steady-state zero-copy claim
 // the //swat:noalloc annotations make statically.
@@ -33,29 +33,6 @@ func startBenchServer(b *testing.B) string {
 	go srv.Serve()
 	b.Cleanup(func() { srv.Close() })
 	return addr.String()
-}
-
-// BenchmarkWireV1Ingest is the baseline: one JSON-framed value per
-// round trip, the only ingest path v1 clients have.
-func BenchmarkWireV1Ingest(b *testing.B) {
-	addr := startBenchServer(b)
-	c, err := wire.Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Feed(0.5); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Feed(float64(i%97) * 0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "values/s")
 }
 
 // benchV2Ingest streams one data frame of `batch` values per op, then

@@ -14,13 +14,12 @@
 // over. With -data-dir set the summary is crash-safe: every
 // arrival is write-ahead logged before it is applied, checkpoints
 // rotate automatically, and startup recovers the pre-crash state (see
-// internal/durable). SIGINT/SIGTERM shut down gracefully — standing
-// queries get a final flush and the store a final checkpoint. Query
-// with cmd/swatquery or any client speaking the length-prefixed JSON
-// protocol of internal/wire; high-volume feeds should use the v2
-// binary data plane (wire.DialBinary, cmd/swatload), negotiated on
-// the same port with backpressure set by -ingest-queue and
-// -ingest-policy.
+// internal/durable); it is the one way to persist the shared tree.
+// SIGINT/SIGTERM shut down gracefully — standing queries get a final
+// flush and the store a final checkpoint. Query with cmd/swatquery or
+// any client speaking the binary protocol of internal/wire
+// (wire.DialBinary); cmd/swatload drives it at line rate, with
+// backpressure set by -ingest-queue and -ingest-policy.
 package main
 
 import (
@@ -39,36 +38,6 @@ import (
 	"github.com/streamsum/swat/internal/wire"
 )
 
-// loadCheckpoint restores the server tree from a snapshot file if one
-// exists; a missing file is not an error (first start).
-func loadCheckpoint(srv *wire.Server, path string) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if err := srv.RestoreTree(data); err != nil {
-		return fmt.Errorf("restoring %s: %w", path, err)
-	}
-	log.Printf("swatd: restored checkpoint from %s (%d bytes)", path, len(data))
-	return nil
-}
-
-// saveCheckpoint snapshots the tree atomically (write + rename).
-func saveCheckpoint(srv *wire.Server, path string) error {
-	data, err := srv.SnapshotTree()
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7467", "listen address")
@@ -78,8 +47,6 @@ func main() {
 		source   = flag.String("source", "", "self-generated stream: weather | uniform | walk (empty: clients feed data)")
 		rate     = flag.Float64("rate", 10, "self-generated values per second")
 		seed     = flag.Int64("seed", 1, "seed for the self-generated stream")
-		ckpt     = flag.String("checkpoint", "", "snapshot file: restored at startup, saved periodically")
-		ckptSec  = flag.Float64("checkpoint-interval", 30, "seconds between checkpoint saves")
 		dataDir  = flag.String("data-dir", "", "durable mode: WAL + checkpoint directory; state is recovered at startup and every arrival is logged before it is applied")
 		fsync    = flag.String("fsync", "interval", "WAL fsync policy in durable mode: always | interval | never")
 		queue    = flag.Int("ingest-queue", 256, "binary data plane: pending-batch bound of the ingest queue")
@@ -130,10 +97,6 @@ func main() {
 	}
 	var store *durable.Store
 	if *dataDir != "" {
-		if *ckpt != "" {
-			fmt.Fprintln(os.Stderr, "swatd: -data-dir and -checkpoint are alternative persistence modes; pick one")
-			os.Exit(2)
-		}
 		var policy durable.SyncPolicy
 		switch *fsync {
 		case "always":
@@ -156,25 +119,6 @@ func main() {
 			os.Exit(1)
 		}
 		log.Printf("swatd: durable at %s: %s", *dataDir, store.Recovery())
-	}
-	if *ckpt != "" {
-		if err := loadCheckpoint(srv, *ckpt); err != nil {
-			fmt.Fprintf(os.Stderr, "swatd: %v\n", err)
-			os.Exit(1)
-		}
-		if *ckptSec <= 0 {
-			fmt.Fprintln(os.Stderr, "swatd: -checkpoint-interval must be positive")
-			os.Exit(2)
-		}
-		go func() {
-			ticker := time.NewTicker(time.Duration(*ckptSec * float64(time.Second)))
-			defer ticker.Stop()
-			for range ticker.C {
-				if err := saveCheckpoint(srv, *ckpt); err != nil {
-					log.Printf("swatd: checkpoint: %v", err)
-				}
-			}
-		}()
 	}
 	bound, err := srv.Listen(*addr)
 	if err != nil {

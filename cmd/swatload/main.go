@@ -5,16 +5,15 @@
 //
 // Usage:
 //
-//	swatload -addr 127.0.0.1:7467 -proto v2 -conns 4 -batch 256 -duration 10s
-//	swatload -addr 127.0.0.1:7467 -proto v1 -conns 4 -duration 10s -json
+//	swatload -addr 127.0.0.1:7467 -conns 4 -batch 256 -duration 10s
+//	swatload -addr 127.0.0.1:7467 -conns 4 -duration 10s -json
 //	swatload -cluster 127.0.0.1:7471,127.0.0.1:7472 -streams 16 -duration 10s
 //
-// With -proto v2 each connection streams batched binary data frames
+// Against one node each connection streams batched binary data frames
 // (one-way) and samples ingest latency with periodic pings, which under
 // the server's block policy measure real backpressure: a ping answers
-// only after every frame before it was accepted. With -proto v1 each
-// value is a JSON round trip, so every send is its own latency sample.
-// With -cluster each worker opens a cluster client over the listed
+// only after every frame before it was accepted. With -cluster each
+// worker opens a cluster client over the listed
 // swatd -streams nodes and ships named-stream batches, sharded by the
 // consistent-hash ring; Sync round trips sample ingest latency across
 // the whole fleet. -json emits one machine-readable result object
@@ -37,7 +36,8 @@ import (
 	"github.com/streamsum/swat/internal/wire"
 )
 
-// result is the run summary, shaped for -json consumers.
+// result is the run summary, shaped for -json consumers. Proto is
+// "v2" against one node and "cluster" against a fleet.
 type result struct {
 	Proto        string  `json:"proto"`
 	Conns        int     `json:"conns"`
@@ -49,7 +49,7 @@ type result struct {
 	ValuesPerSec float64 `json:"values_per_sec"`
 	P50Micros    float64 `json:"p50_us"`
 	P99Micros    float64 `json:"p99_us"`
-	// V2-only: the server's queue accounting after the run.
+	// Single-node only: the server's queue accounting after the run.
 	EnqueuedValues uint64 `json:"enqueued_values,omitempty"`
 	ShedValues     uint64 `json:"shed_values,omitempty"`
 	// Cluster-only: fleet shape, connection churn, per-node ingest
@@ -216,36 +216,9 @@ func runCluster(cfg cluster.Config, worker, streams, batch int, seed int64, dead
 	return cs
 }
 
-// runV1 feeds single JSON values on one connection until deadline;
-// every send is a round trip, sampled every sampleEvery messages.
-func runV1(addr string, seed int64, deadline time.Time) connStats {
-	var cs connStats
-	c, err := wire.Dial(addr)
-	if err != nil {
-		cs.err = err
-		return cs
-	}
-	defer c.Close()
-	src := stream.Uniform(seed)
-	const sampleEvery = 128
-	for time.Now().Before(deadline) {
-		start := time.Now()
-		if _, cs.err = c.Feed(src.Next()); cs.err != nil {
-			return cs
-		}
-		if cs.msgs%sampleEvery == 0 {
-			cs.lats = append(cs.lats, time.Since(start))
-		}
-		cs.msgs++
-		cs.values++
-	}
-	return cs
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7467", "server address")
-		proto    = flag.String("proto", "v2", "wire protocol: v1 (JSON round trips) | v2 (binary batches)")
 		conns    = flag.Int("conns", 4, "concurrent connections")
 		batch    = flag.Int("batch", 256, "values per v2 data frame")
 		duration = flag.Duration("duration", 10*time.Second, "run length")
@@ -263,10 +236,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "swatload: -conns, -batch, and -duration must be positive (batch within the frame limit)")
 		os.Exit(2)
 	}
-	if *proto != "v1" && *proto != "v2" {
-		fmt.Fprintf(os.Stderr, "swatload: unknown -proto %q\n", *proto)
-		os.Exit(2)
-	}
+	proto := "v2"
 	var clusterCfg cluster.Config
 	if *fleet != "" {
 		if *nstreams <= 0 {
@@ -281,7 +251,7 @@ func main() {
 			Seed:         *seed,
 			VNodes:       *vnodes,
 		}
-		*proto = "cluster"
+		proto = "cluster"
 	}
 
 	deadline := time.Now().Add(*duration)
@@ -293,23 +263,17 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch *proto {
-			case "cluster":
+			if proto == "cluster" {
 				all[i] = runCluster(clusterCfg, i, *nstreams, *batch, *seed+int64(i)*1000, deadline)
-			case "v2":
+			} else {
 				all[i] = runV2(*addr, *batch, *seed+int64(i), deadline)
-			default:
-				all[i] = runV1(*addr, *seed+int64(i), deadline)
 			}
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
-	res := result{Proto: *proto, Conns: *conns, Batch: *batch, Seconds: elapsed}
-	if *proto == "v1" {
-		res.Batch = 1
-	}
+	res := result{Proto: proto, Conns: *conns, Batch: *batch, Seconds: elapsed}
 	var lats []time.Duration
 	for i, cs := range all {
 		if cs.err != nil {
@@ -320,7 +284,7 @@ func main() {
 		res.Retries += cs.retries
 		lats = append(lats, cs.lats...)
 	}
-	if *proto == "cluster" {
+	if proto == "cluster" {
 		res.Nodes = len(clusterCfg.Nodes)
 		res.Streams = *conns * *nstreams
 		res.PointAllMillis = all[0].pointAllMS
@@ -363,7 +327,7 @@ func main() {
 	res.P50Micros = percentile(lats, 0.50)
 	res.P99Micros = percentile(lats, 0.99)
 
-	if *proto == "v2" {
+	if proto == "v2" {
 		c, err := wire.DialBinary(*addr)
 		if err == nil {
 			if st, err := c.Stats(); err == nil {

@@ -13,12 +13,15 @@
 //	swatquery epoch -set 3
 //
 // The subcommand selects the operation; flags after it configure it.
-// summary, merge, and epoch speak wire protocol v2 (the others use v1):
-// summary fetches the server tree's mergeable summary, merge rolls up
-// the summaries of several servers locally — the distributed-roll-up
-// flow of internal/core/merge.go driven from the command line — and
-// epoch reads (or, with -set, fences forward) the server's ring epoch,
-// the placement version live resharding cuts over on.
+// Every subcommand speaks the binary protocol of internal/wire. point
+// and ip are batched queries of one query each; range fetches the
+// server tree's summary and answers locally from the rebuilt tree;
+// feed streams one value and waits until the server has applied it.
+// summary fetches the mergeable summary, merge rolls up the summaries
+// of several servers locally — the distributed-roll-up flow of
+// internal/core/merge.go driven from the command line — and epoch reads
+// (or, with -set, fences forward) the server's ring epoch, the
+// placement version live resharding cuts over on.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"github.com/streamsum/swat/internal/core"
 	"github.com/streamsum/swat/internal/query"
@@ -33,19 +37,19 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: swatquery [-addr host:port] <stats|point|ip|range|feed|summary|merge> [flags]
+	fmt.Fprintln(os.Stderr, `usage: swatquery [-addr host:port] <stats|point|ip|range|feed|summary|merge|epoch> [flags]
   stats                                  show server tree state
   point -age N                           point query
   ip    -kind exponential|linear -start A -len M [-precision D]
   range -center C -radius R -from A -to B
   feed  -value V                         push one stream value
-  summary [-out FILE]                    fetch the mergeable summary (v2)
+  summary [-out FILE]                    fetch the mergeable summary
   merge -with A[,B...] [-lo X -hi Y] [-age N]
                                          merge servers' summaries locally;
                                          -lo/-hi declare the value range
                                          needed to bound skewed merges
   epoch [-set N]                         read the server's ring epoch, or
-                                         fence it forward to N (v2);
+                                         fence it forward to N;
                                          epochs only ever advance`)
 	os.Exit(2)
 }
@@ -87,11 +91,16 @@ func main() {
 		return
 	}
 
-	c, err := wire.Dial(*addr)
+	c, err := wire.DialBinary(*addr)
 	if err != nil {
 		fatal(err)
 	}
 	defer c.Close()
+	// Bound every round trip below, so a hung server cannot park the
+	// command.
+	if err := c.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		fatal(err)
+	}
 
 	switch cmd {
 	case "stats":
@@ -104,11 +113,7 @@ func main() {
 		fs := flag.NewFlagSet("point", flag.ExitOnError)
 		age := fs.Int("age", 0, "age of the value (0 = most recent)")
 		parse(fs, args)
-		v, err := c.Point(*age)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%g\n", v)
+		fmt.Printf("%g\n", answer(c, query.Query{Ages: []int{*age}, Weights: []float64{1}}))
 	case "ip":
 		fs := flag.NewFlagSet("ip", flag.ExitOnError)
 		kindName := fs.String("kind", "exponential", "weight family: exponential | linear")
@@ -129,11 +134,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		v, err := c.Query(q)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%g\n", v)
+		fmt.Printf("%g\n", answer(c, q))
 	case "range":
 		fs := flag.NewFlagSet("range", flag.ExitOnError)
 		center := fs.Float64("center", 0, "value center")
@@ -141,7 +142,15 @@ func main() {
 		from := fs.Int("from", 0, "newest age")
 		to := fs.Int("to", 0, "oldest age")
 		parse(fs, args)
-		matches, err := c.Range(*center, *radius, *from, *to)
+		s, err := c.FetchSummary()
+		if err != nil {
+			fatal(err)
+		}
+		tr, err := core.FromSummary(s)
+		if err != nil {
+			fatal(err)
+		}
+		matches, err := tr.RangeQuery(*center, *radius, *from, *to)
 		if err != nil {
 			fatal(err)
 		}
@@ -153,17 +162,50 @@ func main() {
 		fs := flag.NewFlagSet("feed", flag.ExitOnError)
 		value := fs.Float64("value", 0, "stream value to push")
 		parse(fs, args)
-		n, err := c.Feed(*value)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("arrivals=%d\n", n)
+		fmt.Printf("arrivals=%d\n", feed(c, *value))
 	default:
 		usage()
 	}
 }
 
-// fetchSummary pulls one server's summary over a v2 connection.
+// answer evaluates one query on the server.
+func answer(c *wire.BinClient, q query.Query) float64 {
+	var v [1]float64
+	if err := c.QueryBatch([]query.Query{q}, v[:]); err != nil {
+		fatal(err)
+	}
+	return v[0]
+}
+
+// feed streams one value and polls stats until the server's tree has
+// applied it (or counted it shed), returning the arrival count.
+func feed(c *wire.BinClient, v float64) int64 {
+	before, err := c.Stats()
+	if err != nil {
+		fatal(err)
+	}
+	if err := c.FeedBatch([]float64{v}); err != nil {
+		fatal(err)
+	}
+	if _, err := c.Ping(); err != nil {
+		fatal(err)
+	}
+	for {
+		st, err := c.Stats()
+		if err != nil {
+			fatal(err)
+		}
+		switch {
+		case st.Arrivals > before.Arrivals:
+			return st.Arrivals
+		case st.ShedValues > before.ShedValues || st.IngestErrors > before.IngestErrors:
+			fatal(fmt.Errorf("server did not apply the value (shed %d, ingest errors %d)", st.ShedValues, st.IngestErrors))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fetchSummary pulls one server's summary.
 func fetchSummary(addr string) (*core.Summary, error) {
 	c, err := wire.DialBinary(addr)
 	if err != nil {

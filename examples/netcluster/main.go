@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"time"
 
 	"github.com/streamsum/swat/internal/core"
 	"github.com/streamsum/swat/internal/query"
@@ -31,24 +32,34 @@ func main() {
 	go func() { serveDone <- srv.Serve() }()
 	fmt.Printf("server listening on %s\n", addr)
 
-	// A feeder connection streams two days of weather data.
-	feeder, err := wire.Dial(addr.String())
+	// A feeder connection streams two days of weather data in one
+	// one-way batch, then polls stats until the server has applied it.
+	feeder, err := wire.DialBinary(addr.String())
 	if err != nil {
 		log.Fatal(err)
 	}
 	src := stream.Weather(5)
-	var arrivals int64
-	for i := 0; i < 1024; i++ {
-		if arrivals, err = feeder.Feed(src.Next()); err != nil {
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = src.Next()
+	}
+	if err := feeder.FeedBatch(vals); err != nil {
+		log.Fatal(err)
+	}
+	var st wire.StatsV2
+	for st.Arrivals < int64(len(vals)) {
+		if st, err = feeder.Stats(); err != nil {
 			log.Fatal(err)
 		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := feeder.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fed %d values over TCP\n", arrivals)
+	fmt.Printf("fed %d values over TCP\n", st.Arrivals)
 
-	// Concurrent query clients.
+	// Concurrent query clients, each asking a point and an inner-product
+	// query in one batched round trip.
 	const clients = 4
 	var wg sync.WaitGroup
 	results := make(chan string, clients)
@@ -56,29 +67,25 @@ func main() {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := wire.Dial(addr.String())
+			c, err := wire.DialBinary(addr.String())
 			if err != nil {
 				results <- fmt.Sprintf("client %d: %v", id, err)
 				return
 			}
 			defer c.Close()
-			q, err := query.New(query.Exponential, id*8, 8, 0)
+			ip, err := query.New(query.Exponential, id*8, 8, 0)
 			if err != nil {
 				results <- fmt.Sprintf("client %d: %v", id, err)
 				return
 			}
-			ip, err := c.Query(q)
-			if err != nil {
-				results <- fmt.Sprintf("client %d: %v", id, err)
-				return
-			}
-			p, err := c.Point(id)
-			if err != nil {
+			point := query.Query{Ages: []int{id}, Weights: []float64{1}}
+			ans := make([]float64, 2)
+			if err := c.QueryBatch([]query.Query{point, ip}, ans); err != nil {
 				results <- fmt.Sprintf("client %d: %v", id, err)
 				return
 			}
 			results <- fmt.Sprintf("client %d: point(age=%d)=%.2f°C, exp-weighted index over ages %d..%d = %.2f",
-				id, id, p, id*8, id*8+7, ip)
+				id, id, ans[0], id*8, id*8+7, ans[1])
 		}(id)
 	}
 	wg.Wait()
@@ -87,18 +94,26 @@ func main() {
 		fmt.Println(line)
 	}
 
-	// One more client checks server state and a range query.
-	c, err := wire.Dial(addr.String())
+	// One more client checks server state, then answers a range query
+	// locally from the server's fetched summary.
+	c, err := wire.DialBinary(addr.String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := c.Stats()
-	if err != nil {
+	if st, err = c.Stats(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("server tree: window=%d nodes=%d arrivals=%d ready=%v\n",
 		st.Window, st.Nodes, st.Arrivals, st.Ready)
-	matches, err := c.Range(30, 10, 0, 255)
+	sum, err := c.FetchSummary()
+	if err != nil {
+		log.Fatal(err)
+	}
+	tree, err := core.FromSummary(sum)
+	if err != nil {
+		log.Fatal(err)
+	}
+	matches, err := tree.RangeQuery(30, 10, 0, 255)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func checkIOCall(pass *Pass, call *ast.CallExpr, f Facts, conn *types.Interface)
 		}
 	}
 	// Helper functions threading a conn: io.ReadFull(conn, ...),
-	// readBinFrame(conn), WriteFrame(conn, ...), ...
+	// readBinFrame(conn), ...
 	var name string
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:

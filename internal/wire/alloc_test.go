@@ -36,8 +36,8 @@ func (c *replayConn) Read(p []byte) (int, error) {
 }
 
 // TestBinaryCodecDoesNotAllocate pins the pure encode/decode layer:
-// readBinFrame, appendDataFrame, decodeDataFrame, appendQueryFrame,
-// decodeQueryFrame, appendAnswerFrame, decodeAnswerFrame,
+// readBinFrame, appendDataFrame, decodeDataFrame, appendQueryTerms,
+// appendQueryFrame, decodeQueryFrame, appendAnswerFrame, decodeAnswerFrame,
 // appendStatsResFrame, and appendU64Frame.
 func TestBinaryCodecDoesNotAllocate(t *testing.T) {
 	vals := make([]float64, 64)
@@ -70,6 +70,7 @@ func TestBinaryCodecDoesNotAllocate(t *testing.T) {
 			return errFrameLength
 		}
 
+		frame = appendQueryTerms(frame[:0], qs) // the payload subscribe frames share
 		frame = appendQueryFrame(frame[:0], qs)
 		body, _, err = codec.Next(frame, MaxFrame)
 		if err != nil {
@@ -269,39 +270,5 @@ func TestBinClientDoesNotAllocate(t *testing.T) {
 	}
 	if dst[0] != 2.5 {
 		t.Errorf("answer = %v", dst[0])
-	}
-}
-
-// TestV1ReadFrameBufReusesBuffer checks the satellite fix to the v1
-// path: the per-frame body allocation is gone once the buffer has
-// grown, leaving only the unavoidable JSON decode allocations.
-func TestV1ReadFrameBufReusesBuffer(t *testing.T) {
-	var wire bytes.Buffer
-	if err := WriteFrame(&wire, &Message{Type: "data", Value: 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), wire.Bytes()...)
-
-	r := bytes.NewReader(frame)
-	_, buf, err := ReadFrameBuf(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(100, func() {
-		r.Reset(frame)
-		var rerr error
-		_, buf, rerr = ReadFrameBuf(r, buf)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-	})
-	fresh := testing.AllocsPerRun(100, func() {
-		r.Reset(frame)
-		if _, _, err := ReadFrameBuf(r, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if base >= fresh {
-		t.Errorf("buffered reads allocate %v/op, fresh-buffer reads %v/op; reuse saves nothing", base, fresh)
 	}
 }

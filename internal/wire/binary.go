@@ -1,20 +1,17 @@
 package wire
 
-// Wire protocol v2: the binary data plane. Where v1 wraps every value
-// in a JSON envelope and a fresh buffer, v2 moves batches of raw
+// Wire protocol v2: the binary data plane. It moves batches of raw
 // float64s through reused buffers with the same CRC32C length-prefixed
 // framing the durable WAL uses (internal/codec) — one codec validates
 // bytes at rest and bytes in flight.
 //
 // # Negotiation
 //
-// A v2 client opens its connection with the 4-byte magic "SWA2"
-// followed by a hello frame. Interpreted as a v1 length prefix the
-// magic is 1.4 GB — far beyond MaxFrame — so a v1 server would have
-// rejected it and a v2 server can distinguish the two unambiguously:
-// anything else is treated as the first length prefix of a v1 JSON
-// connection. One server port speaks both protocols; v1 clients keep
-// working unchanged.
+// A client opens its connection with the 4-byte magic "SWA2" followed
+// by a hello frame carrying its version; the server acks with the
+// version, its backpressure policy and its queue capacity. A
+// connection that opens with anything but the magic is logged and
+// closed without a reply.
 //
 // # Frames
 //
@@ -55,11 +52,14 @@ package wire
 //	migStat   c→s  u16 nameLen | name
 //	migCommit c→s  u16 nameLen | name | u64 total | u32 crc | u64 epoch
 //	migState  s→c  u64 have | u64 total | u32 crc | u8 committed
+//	subscribe c→s  f64 minChange | u32 1 | u32 nterms |
+//	               nterms×(u32 age | f64 weight)  (a one-query query payload)
+//	subscribed s→c u32 id
+//	notify    s→c  u32 id | f64 value | u64 arrivals  (pushed; see subscribe.go)
 //
 // Data frames are one-way: the client streams them without per-frame
-// acknowledgements (the 10× win over v1's request/response data plane)
-// and learns the server's view — arrivals applied, queue depth, values
-// shed — from stats frames. firstIndex is the client's running value
+// acknowledgements and learns the server's view — arrivals applied,
+// queue depth, values shed — from stats frames. firstIndex is the client's running value
 // offset (0-based); the server enforces contiguity per connection so a
 // client bug that skips or repeats a batch is caught at the protocol
 // layer instead of corrupting the summary silently.
@@ -74,8 +74,7 @@ import (
 	"github.com/streamsum/swat/internal/query"
 )
 
-// binMagic opens every v2 connection. As a v1 length prefix it exceeds
-// MaxFrame, so the two protocols cannot be confused.
+// binMagic opens every connection.
 var binMagic = [4]byte{'S', 'W', 'A', '2'}
 
 // binVersion is the protocol version hello/helloAck carry.
@@ -132,6 +131,12 @@ const (
 	// sfoldRes carries the per-name statuses and one summary.
 	bfSFold    = 0x1B
 	bfSFoldRes = 0x1C
+	// Standing queries (see subscribe.go): subscribe registers one
+	// query on the connection, subscribed carries its ID, and notify
+	// frames push its value as the tree moves.
+	bfSubscribe  = 0x1D
+	bfSubscribed = 0x1E
+	bfNotify     = 0x1F
 )
 
 const (
@@ -240,10 +245,18 @@ func decodeDataFrame(payload []byte, dst []float64) (first uint64, vals []float6
 func appendQueryFrame(dst []byte, qs []query.Query) []byte {
 	start := len(dst)
 	dst = codec.Begin(dst)
+	dst = append(dst, bfQuery)
+	return codec.Finish(appendQueryTerms(dst, qs), start)
+}
+
+// appendQueryTerms appends a query frame's payload: the query count,
+// then each query's term list.
+//
+//swat:noalloc
+func appendQueryTerms(dst []byte, qs []query.Query) []byte {
 	var b [8]byte
-	b[0] = bfQuery
-	binary.BigEndian.PutUint32(b[1:5], uint32(len(qs)))
-	dst = append(dst, b[:5]...)
+	binary.BigEndian.PutUint32(b[:4], uint32(len(qs)))
+	dst = append(dst, b[:4]...)
 	for i := range qs {
 		binary.BigEndian.PutUint32(b[:4], uint32(len(qs[i].Ages)))
 		dst = append(dst, b[:4]...)
@@ -254,7 +267,7 @@ func appendQueryFrame(dst []byte, qs []query.Query) []byte {
 			dst = append(dst, b[:8]...)
 		}
 	}
-	return codec.Finish(dst, start)
+	return dst
 }
 
 // binQueryScratch is a connection's reusable decode state for batched
@@ -364,7 +377,7 @@ func decodeAnswerFrame(payload []byte, dst []float64) error {
 // counters plus the ingest queue's backpressure view, which is how a
 // client adapts its send rate (or learns it is being shed).
 type StatsV2 struct {
-	// Arrivals, Window, Nodes, Ready mirror v1 Stats.
+	// Arrivals, Window, Nodes, Ready are the tree's counters.
 	Arrivals int64
 	Window   int
 	Nodes    int

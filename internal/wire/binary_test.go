@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -93,18 +96,19 @@ func TestBinaryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBinaryMatchesV1 answers the same query over both protocols and
-// requires bit-identical results: v2 is an encoding change, not a
-// semantic one.
-func TestBinaryMatchesV1(t *testing.T) {
-	addr, _, shutdown := startServer(t, core.Options{WindowSize: 16})
+// TestBinaryMatchesTwin answers point, inner-product and range queries
+// over the wire and requires results bit-identical to an in-process
+// twin tree fed the same batch: the protocol is an encoding change, not
+// a semantic one.
+func TestBinaryMatchesTwin(t *testing.T) {
+	opts := core.Options{WindowSize: 16}
+	addr, _, shutdown := startServer(t, opts)
 	defer shutdown()
-
-	bc, err := DialBinary(addr)
+	twin, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bc.Close()
+	bc := dialBinary(t, addr)
 	vals := make([]float64, 48)
 	src := stream.Uniform(7)
 	for i := range vals {
@@ -113,58 +117,93 @@ func TestBinaryMatchesV1(t *testing.T) {
 	if err := bc.FeedBatch(vals); err != nil {
 		t.Fatal(err)
 	}
+	twin.UpdateBatch(vals)
 	waitArrivals(t, bc, 48)
 
-	v1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	for age := 0; age < 16; age++ {
+		got, err := pointQuery(bc, age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.PointQuery(age)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("point(%d) over the wire %v != twin %v", age, got, want)
+		}
 	}
-	defer v1.Close()
 	q, _ := query.New(query.Exponential, 0, 8, 0)
-	want, err := v1.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([]float64, 1)
 	if err := bc.QueryBatch([]query.Query{q}, got); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != want {
-		t.Errorf("v2 answer %v != v1 answer %v", got[0], want)
+	want, err := twin.InnerProduct(q.Ages, q.Weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got[0]) != math.Float64bits(want) {
+		t.Errorf("inner product over the wire %v != twin %v", got[0], want)
+	}
+	gotRange, err := rangeQuery(bc, 50, 30, 0, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRange, err := twin.RangeQuery(50, 30, 0, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantRange) == 0 || !reflect.DeepEqual(gotRange, wantRange) {
+		t.Errorf("range over the wire %v != twin %v", gotRange, wantRange)
 	}
 }
 
-// TestMixedVersionClients runs v1 JSON and v2 binary clients against
-// the same server concurrently: the negotiation must keep both planes
-// independent, and every value from either plane must land in the tree.
+// TestMixedVersionClients opens connections that do not start with the
+// SWA2 magic (a retired JSON client's length prefix, a wrong magic, an
+// HTTP request) beside binary clients feeding data: each foreign
+// connection must be closed without a reply byte, and every value from
+// the binary clients must still land in the tree.
 func TestMixedVersionClients(t *testing.T) {
 	addr, _, shutdown := startServer(t, core.Options{WindowSize: 64})
 	defer shutdown()
 
+	openers := [][]byte{
+		append([]byte{0, 0, 0, 16}, `{"type":"stats"}`...),
+		[]byte("SWA1"),
+		[]byte("GET / HTTP/1.1\r\n\r\n"),
+	}
 	const (
-		v1Clients = 3
 		v2Clients = 3
 		perClient = 200
 	)
 	var wg sync.WaitGroup
-	errs := make(chan error, v1Clients+v2Clients)
-	for i := 0; i < v1Clients; i++ {
+	errs := make(chan error, len(openers)+v2Clients)
+	for _, opener := range openers {
 		wg.Add(1)
-		go func() {
+		go func(opener []byte) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
-			for j := 0; j < perClient; j++ {
-				if _, err := c.Feed(float64(j)); err != nil {
-					errs <- err
-					return
-				}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				errs <- err
+				return
 			}
-		}()
+			if _, err := conn.Write(opener); err != nil {
+				errs <- err
+				return
+			}
+			// A close with unread input may arrive as a reset rather than
+			// EOF; either is fine, a reply byte or a timeout is not.
+			n, err := conn.Read(make([]byte, 64))
+			var ne net.Error
+			if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+				errs <- fmt.Errorf("opener %q: read %d bytes, err %v; want a close without reply", opener, n, err)
+			}
+		}(opener)
 	}
 	for i := 0; i < v2Clients; i++ {
 		wg.Add(1)
@@ -193,13 +232,7 @@ func TestMixedVersionClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-
-	c, err := DialBinary(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	waitArrivals(t, c, (v1Clients+v2Clients)*perClient)
+	waitArrivals(t, dialBinary(t, addr), v2Clients*perClient)
 }
 
 // TestBinarySequenceEnforced checks the per-connection contiguity
@@ -266,8 +299,8 @@ func TestBinaryVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestBinaryColdQuerySoftError mirrors v1 semantics: a query the tree
-// cannot answer yet gets an error frame but keeps the connection.
+// TestBinaryColdQuerySoftError checks that a query the tree cannot
+// answer yet gets an error frame but keeps the connection.
 func TestBinaryColdQuerySoftError(t *testing.T) {
 	addr, _, shutdown := startServer(t, core.Options{WindowSize: 16})
 	defer shutdown()

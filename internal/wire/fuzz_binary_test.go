@@ -11,7 +11,7 @@ import (
 	"github.com/streamsum/swat/internal/query"
 )
 
-// FuzzDecodeBinaryFrame hardens the v2 frame layer against arbitrary
+// FuzzDecodeBinaryFrame hardens the frame layer against arbitrary
 // bytes: readBinFrame plus every body decoder must reject corruption
 // with an error — never panic, and never trust a hostile length field
 // into a huge allocation (the codec's MaxFrame bound and the per-type
@@ -81,6 +81,14 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(sfold(0xFFFFFFFF, 1))
 	f.Add(sfold(1, 0xFFFF))
 	f.Add(codec.Finish(append(codec.Begin(nil), bfSFoldRes, 0xFF, 0xFF, 0xFF, 0xFF, 1), 0))
+	// Standing queries: a subscription, its reply, a push, plus a
+	// subscribe carrying two queries and one cut inside its minChange.
+	f.Add(appendSubscribeFrame(nil, query.Query{Ages: []int{0, 3}, Weights: []float64{1, -0.5}}, 2.5))
+	f.Add(appendSubscribedFrame(nil, 7))
+	f.Add(appendNotifyFrame(nil, 7, -1.25, 1<<40))
+	two := appendQueryFrame(nil, []query.Query{{Ages: []int{1}, Weights: []float64{1}}, {Ages: []int{2}, Weights: []float64{1}}})
+	f.Add(codec.AppendFrame(nil, append([]byte{bfSubscribe, 0, 0, 0, 0, 0, 0, 0, 0}, two[codec.HeaderLen+1:]...)))
+	f.Add(codec.AppendFrame(nil, []byte{bfSubscribe, 0x3F, 0xF0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, buf, err := readBinFrame(bytes.NewReader(data), nil)
@@ -226,6 +234,19 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 				// error, never a panic.
 				//lint:allow sentinelcheck fuzzing for panics, not errors: any error return is a valid outcome
 				_, _ = core.DecodeSummary(sum)
+			}
+		case bfSubscribe:
+			var sc binQueryScratch
+			if minChange, err := decodeSubscribeFrame(payload, &sc); err == nil {
+				checkReencode(t, "subscribe", body, appendSubscribeFrame(nil, sc.qs[0], minChange))
+			}
+		case bfSubscribed:
+			if len(payload) == 4 {
+				checkReencode(t, "subscribed", body, appendSubscribedFrame(nil, int(binary.BigEndian.Uint32(payload))))
+			}
+		case bfNotify:
+			if n, err := decodeNotifyFrame(payload); err == nil {
+				checkReencode(t, "notify", body, appendNotifyFrame(nil, n.ID, n.Value, n.Arrivals))
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,13 +15,11 @@ import (
 	"github.com/streamsum/swat/internal/multi"
 )
 
-// Server owns a SWAT tree and serves it over TCP, speaking both wire
-// protocols on one port: v1 length-prefixed JSON (negotiated by
-// default) and the v2 binary data plane (negotiated by the "SWA2"
-// magic, see binary.go). v1 data frames update the tree synchronously;
-// v2 data frames flow through a bounded ingest queue with explicit
-// backpressure (see backpressure.go). The tree is internally locked,
-// so many clients can talk to one server concurrently.
+// Server owns a SWAT tree and serves it over TCP in the binary
+// protocol of binary.go. Data frames flow through a bounded ingest
+// queue with explicit backpressure (see backpressure.go). The tree is
+// internally locked, so many clients can talk to one server
+// concurrently.
 type Server struct {
 	mu   sync.Mutex
 	tree *core.Tree
@@ -94,7 +91,7 @@ func NewServer(opts core.Options) (*Server, error) {
 		tree:        tree,
 		conns:       make(map[net.Conn]struct{}),
 		Logf:        log.Printf,
-		subscribers: &subscribers{byID: make(map[net.Conn]*subscriber)},
+		subscribers: &subscribers{byConn: make(map[net.Conn]*subscriber)},
 	}, nil
 }
 
@@ -305,10 +302,9 @@ func (s *Server) Close() error {
 	return errors.Join(errs...)
 }
 
-// handle serves one connection until EOF or a protocol error. The
-// first four bytes negotiate the protocol: the "SWA2" magic selects
-// the v2 binary plane, anything else is the opening length prefix of a
-// v1 JSON connection.
+// handle serves one connection until EOF or a protocol error. Its
+// first four bytes must be the "SWA2" magic (see binary.go); any other
+// opening is logged and the connection closed without a reply.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.dropConn(conn)
@@ -325,50 +321,11 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	if first == binMagic {
-		s.handleBinary(conn)
+	if first != binMagic {
+		s.Logf("wire: %v: connection opened with %q, not the %q magic; closing", conn.RemoteAddr(), first[:], binMagic[:])
 		return
 	}
-	s.handleV1(conn, binary.BigEndian.Uint32(first[:]))
-}
-
-// handleV1 runs the JSON request/response loop. firstLen is the length
-// prefix the negotiation already consumed. The frame body buffer is
-// reused across the connection's lifetime (satellite of the v2 work:
-// v1 compat mode no longer pays a make per frame).
-func (s *Server) handleV1(conn net.Conn, firstLen uint32) {
-	//lint:allow deadline the wait for each request is the idle connection; Close bounds it
-	req, buf, err := readFrameBody(conn, firstLen, nil)
-	for {
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.Logf("wire: %v: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		resp := s.dispatch(conn, req)
-		if werr := s.respond(conn, resp); werr != nil {
-			s.Logf("wire: %v: %v", conn.RemoteAddr(), werr)
-			return
-		}
-		//lint:allow deadline the wait for the next request is the idle connection; Close bounds it
-		req, buf, err = ReadFrameBuf(conn, buf)
-	}
-}
-
-// respond pushes a reply frame under the server's write deadline,
-// coordinating with asynchronous notify frames targeted at the same
-// connection.
-func (s *Server) respond(conn net.Conn, resp *Message) error {
-	s.subscribers.mu.Lock()
-	sub := s.subscribers.byID[conn]
-	s.subscribers.mu.Unlock()
-	if sub != nil {
-		sub.mu.Lock()
-		defer sub.mu.Unlock()
-	}
-	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-	return WriteFrame(conn, resp)
+	s.handleBinary(conn)
 }
 
 // writeTimeout returns the effective reply-write bound.
@@ -377,72 +334,4 @@ func (s *Server) writeTimeout() time.Duration {
 		return s.WriteTimeout
 	}
 	return 30 * time.Second
-}
-
-// dispatch executes one request against the tree.
-func (s *Server) dispatch(conn net.Conn, req *Message) *Message {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch req.Type {
-	case "data":
-		if err := s.ingestOne(req.Value); err != nil {
-			return errMsg(err)
-		}
-		s.notifySubscribers()
-		return &Message{Type: "result", Arrivals: s.tree.Arrivals()}
-	case "query":
-		v, err := s.tree.InnerProduct(req.Ages, req.Weights)
-		if err != nil {
-			return errMsg(err)
-		}
-		return &Message{Type: "result", Value: v}
-	case "point":
-		v, err := s.tree.PointQuery(req.Age)
-		if err != nil {
-			return errMsg(err)
-		}
-		return &Message{Type: "result", Value: v}
-	case "range":
-		matches, err := s.tree.RangeQuery(req.Center, req.Radius, req.From, req.To)
-		if err != nil {
-			return errMsg(err)
-		}
-		out := &Message{Type: "matches"}
-		for _, m := range matches {
-			out.MatchAges = append(out.MatchAges, m.Age)
-			out.MatchValues = append(out.MatchValues, m.Value)
-		}
-		return out
-	case "subscribe":
-		return s.handleSubscribe(conn, req)
-	case "stats":
-		return &Message{
-			Type:     "statsResult",
-			Arrivals: s.tree.Arrivals(),
-			Window:   s.tree.WindowSize(),
-			Nodes:    s.tree.NumNodes(),
-			Ready:    s.tree.Ready(),
-		}
-	default:
-		return errMsg(fmt.Errorf("unknown message type %q", req.Type))
-	}
-}
-
-func errMsg(err error) *Message {
-	return &Message{Type: "error", Error: err.Error()}
-}
-
-// SnapshotTree serializes the server's tree state for checkpointing.
-func (s *Server) SnapshotTree() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tree.MarshalBinary()
-}
-
-// RestoreTree replaces the server's tree state from a snapshot produced
-// by SnapshotTree.
-func (s *Server) RestoreTree(data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tree.UnmarshalBinary(data)
 }

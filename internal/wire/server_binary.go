@@ -45,6 +45,10 @@ type binConn struct {
 	// fence decides whether its resume offset is still valid.
 	expName []byte
 	exp     *core.SummaryTransfer
+
+	// sub is the connection's standing-query state once it has
+	// subscribed (see subscribe.go), nil before.
+	sub *subscriber
 }
 
 // handleBinary serves one v2 connection after its magic has been
@@ -146,6 +150,8 @@ func (s *Server) dispatchBinary(bc *binConn, body []byte) error {
 		return s.handleMigStat(bc, body[1:])
 	case bfMigCommit:
 		return s.handleMigCommit(bc, body[1:])
+	case bfSubscribe:
+		return s.handleSubscribe(bc, body[1:])
 	default:
 		return errFrameType
 	}
@@ -177,7 +183,7 @@ func (s *Server) handleData(bc *binConn, payload []byte) error {
 // handleQueryBatch answers one batched-query frame under a single tree
 // read-lock acquisition. Query evaluation failures (cold tree, bad
 // ages) are soft: the client gets an error frame and the connection
-// lives on, mirroring v1.
+// lives on.
 //
 //swat:noalloc
 func (s *Server) handleQueryBatch(bc *binConn, payload []byte) error {
@@ -225,8 +231,13 @@ func (s *Server) binError(bc *binConn, err error) {
 }
 
 // binWrite sends the reply frame assembled in bc.wbuf under the
-// server's write deadline.
+// server's write deadline. On a subscribed connection it holds the
+// subscriber lock, so a reply cannot interleave with a notify push.
 func (s *Server) binWrite(bc *binConn) error {
+	if bc.sub != nil {
+		bc.sub.mu.Lock()
+		defer bc.sub.mu.Unlock()
+	}
 	bc.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 	_, err := bc.conn.Write(bc.wbuf)
 	return err

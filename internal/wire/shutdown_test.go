@@ -25,31 +25,19 @@ func TestCloseFlushesSubscribers(t *testing.T) {
 		srv.Feed(10)
 	}
 
-	sub, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
+	sub := dialBinary(t, addr)
 	q, _ := query.New(query.Point, 0, 1, 0)
 	id, ch, err := sub.Subscribe(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	feeder, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feeder.Close()
-	if _, err := feeder.Feed(10); err != nil {
-		t.Fatal(err)
-	}
+	feeder := dialBinary(t, addr)
+	feedAcked(t, feeder, 10)
 	first := waitNotification(t, ch)
 
 	// Drift below the threshold: suppressed while running...
-	if _, err := feeder.Feed(13); err != nil {
-		t.Fatal(err)
-	}
+	feedAcked(t, feeder, 13)
 	select {
 	case n := <-ch:
 		t.Fatalf("unexpected notification %+v for sub-threshold change", n)
@@ -84,11 +72,7 @@ func TestCloseFlushesSubscribers(t *testing.T) {
 // never sends or reads anything cannot block shutdown.
 func TestCloseWithIdleClientDoesNotHang(t *testing.T) {
 	addr, _, shutdown := startServer(t, core.Options{WindowSize: 16})
-	idle, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer idle.Close()
+	dialBinary(t, addr) // handshakes, then sits idle
 	done := make(chan struct{})
 	go func() {
 		shutdown()
@@ -127,19 +111,16 @@ func TestServerWithStore(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 
-	c, err := Dial(addr.String())
+	c, err := DialBinary(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var arrivals int64
 	for i := 0; i < 25; i++ {
-		if arrivals, err = c.Feed(float64(i)); err != nil {
+		if err := c.FeedBatch([]float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if arrivals != 25 {
-		t.Fatalf("server at %d arrivals, want 25", arrivals)
-	}
+	waitArrivals(t, c, 25)
 	c.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close server: %v", err)

@@ -1,32 +1,33 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net"
 	"sync"
 	"time"
 
+	"github.com/streamsum/swat/internal/codec"
 	"github.com/streamsum/swat/internal/query"
 )
 
-// Standing-query support over the wire: a client sends a "subscribe"
-// frame and then receives asynchronous "notify" frames whenever the
+// Standing-query support over the wire: a client sends a subscribe
+// frame and then receives asynchronous notify frames whenever the
 // server's tree advances and the query's value changes by at least the
 // subscription's minChange. This is the continuous-query mode of the
 // paper ("we can extend our algorithms to continuous queries", §2.1)
-// exposed over a real network.
-//
-// Message types added here:
-//
-//	"subscribe"   client → server: Ages/Weights + MinChange in Radius
-//	"subscribed"  server → client: Age carries the subscription ID
-//	"notify"      server → client: Value + Arrivals, Age carries the ID
+// exposed over a real network, on frames subscribe, subscribed and
+// notify (see binary.go's frame table).
 
-// subscriber tracks one connection's standing queries.
+// subscriber tracks one connection's standing queries. Once a
+// connection has subscribed, mu serializes every frame written to it —
+// its handler's replies (binWrite) and the notify pushes of the ingest
+// worker, Feed and Close — and guards subs, next and wbuf.
 type subscriber struct {
 	conn net.Conn
-	mu   sync.Mutex // serializes frames pushed to the connection
+	mu   sync.Mutex
+	wbuf []byte
 	subs map[int]*wireSub
 	next int
 }
@@ -40,24 +41,8 @@ type wireSub struct {
 
 // subscribers holds the server's standing-query registrations.
 type subscribers struct {
-	mu   sync.Mutex
-	byID map[net.Conn]*subscriber
-}
-
-// addSubscription registers a standing query on conn and returns its ID.
-func (s *Server) addSubscription(conn net.Conn, q query.Query, minChange float64) int {
-	state := s.subscribers
-	state.mu.Lock()
-	defer state.mu.Unlock()
-	sub, ok := state.byID[conn]
-	if !ok {
-		sub = &subscriber{conn: conn, subs: make(map[int]*wireSub), next: 1}
-		state.byID[conn] = sub
-	}
-	id := sub.next
-	sub.next++
-	sub.subs[id] = &wireSub{q: q, minChange: minChange}
-	return id
+	mu     sync.Mutex
+	byConn map[net.Conn]*subscriber
 }
 
 // dropConn removes all of a connection's subscriptions (on disconnect).
@@ -65,7 +50,7 @@ func (s *Server) dropConn(conn net.Conn) {
 	state := s.subscribers
 	state.mu.Lock()
 	defer state.mu.Unlock()
-	delete(state.byID, conn)
+	delete(state.byConn, conn)
 }
 
 // hasSubscribers reports whether any standing query is registered, so
@@ -74,22 +59,28 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) hasSubscribers() bool {
 	s.subscribers.mu.Lock()
 	defer s.subscribers.mu.Unlock()
-	return len(s.subscribers.byID) > 0
+	return len(s.subscribers.byConn) > 0
+}
+
+// subscriberList snapshots the subscribed connections, so pushes run
+// without the registry lock.
+func (s *Server) subscriberList() []*subscriber {
+	state := s.subscribers
+	state.mu.Lock()
+	defer state.mu.Unlock()
+	out := make([]*subscriber, 0, len(state.byConn))
+	for _, sub := range state.byConn {
+		out = append(out, sub)
+	}
+	return out
 }
 
 // notifySubscribers evaluates all standing queries against the current
-// tree and pushes notify frames for those whose value moved. Called with
-// s.mu held (from dispatch) right after a data update.
+// tree and pushes notify frames for those whose value moved. Called
+// with s.mu held right after a data update.
 func (s *Server) notifySubscribers() {
 	arrivals := s.tree.Arrivals()
-	state := s.subscribers
-	state.mu.Lock()
-	conns := make([]*subscriber, 0, len(state.byID))
-	for _, sub := range state.byID {
-		conns = append(conns, sub)
-	}
-	state.mu.Unlock()
-	for _, sub := range conns {
+	for _, sub := range s.subscriberList() {
 		sub.mu.Lock()
 		sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 		for id, ws := range sub.subs {
@@ -102,8 +93,7 @@ func (s *Server) notifySubscribers() {
 			}
 			ws.fired = true
 			ws.last = v
-			frame := &Message{Type: "notify", Age: id, Value: v, Arrivals: arrivals}
-			if err := WriteFrame(sub.conn, frame); err != nil {
+			if err := sub.push(id, v, arrivals); err != nil {
 				s.Logf("wire: notify %v: %v", sub.conn.RemoteAddr(), err)
 			}
 		}
@@ -116,57 +106,83 @@ func (s *Server) notifySubscribers() {
 // subscription's minChange threshold so no tail-end movement is lost —
 // skipped only when nothing changed since the last notification. Every
 // write races the deadline, so a stalled subscriber cannot hold
-// shutdown hostage.
+// shutdown hostage. Locks are taken in notifySubscribers' order (s.mu,
+// then the subscriber's), so a flush cannot deadlock a concurrent
+// ingest.
 func (s *Server) flushSubscribers(deadline time.Time) []error {
-	state := s.subscribers
-	state.mu.Lock()
-	conns := make([]*subscriber, 0, len(state.byID))
-	for _, sub := range state.byID {
-		conns = append(conns, sub)
-	}
-	state.mu.Unlock()
 	var errs []error
-	for _, sub := range conns {
+	for _, sub := range s.subscriberList() {
+		s.mu.Lock()
 		sub.mu.Lock()
-		if err := sub.conn.SetWriteDeadline(deadline); err != nil {
-			sub.mu.Unlock()
-			continue // connection already dead; nothing to flush
-		}
-		for id, ws := range sub.subs {
-			s.mu.Lock()
-			v, err := s.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
+		if err := sub.conn.SetWriteDeadline(deadline); err == nil {
 			arrivals := s.tree.Arrivals()
-			s.mu.Unlock()
-			if err != nil {
-				continue // never answerable: nothing to flush
+			for id, ws := range sub.subs {
+				v, err := s.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
+				if err != nil || (ws.fired && v == ws.last) {
+					continue // never answerable, or the subscriber already has it
+				}
+				if err := sub.push(id, v, arrivals); err != nil {
+					errs = append(errs, fmt.Errorf("wire: flush %v: %w", sub.conn.RemoteAddr(), err))
+					break
+				}
+				ws.fired = true
+				ws.last = v
 			}
-			if ws.fired && v == ws.last {
-				continue // subscriber already has this value
-			}
-			frame := &Message{Type: "notify", Age: id, Value: v, Arrivals: arrivals}
-			if err := WriteFrame(sub.conn, frame); err != nil {
-				errs = append(errs, fmt.Errorf("wire: flush %v: %w", sub.conn.RemoteAddr(), err))
-				break
-			}
-			ws.fired = true
-			ws.last = v
-		}
+		} // else the connection is already dead: nothing to flush
 		sub.mu.Unlock()
+		s.mu.Unlock()
 	}
 	return errs
 }
 
-// handleSubscribe processes a subscribe frame.
-func (s *Server) handleSubscribe(conn net.Conn, req *Message) *Message {
-	q := query.Query{Ages: req.Ages, Weights: req.Weights, Precision: req.Precision}
+// push writes one notify frame. The caller holds sub.mu and has armed
+// the write deadline.
+//
+//swat:deadline-held
+func (sub *subscriber) push(id int, v float64, arrivals int64) error {
+	sub.wbuf = appendNotifyFrame(sub.wbuf[:0], id, v, arrivals)
+	_, err := sub.conn.Write(sub.wbuf)
+	return err
+}
+
+// handleSubscribe registers one standing query on bc's connection and
+// replies with its ID. The registration and the reply share the
+// subscriber lock, so no notify for the new ID can precede the reply.
+// An invalid query or minChange is a soft error frame.
+func (s *Server) handleSubscribe(bc *binConn, payload []byte) error {
+	minChange, err := decodeSubscribeFrame(payload, &bc.q)
+	if err != nil {
+		return err
+	}
+	sq := bc.q.qs[0]
+	q := query.Query{
+		Ages:    append([]int(nil), sq.Ages...),
+		Weights: append([]float64(nil), sq.Weights...),
+	}
 	if err := q.Validate(); err != nil {
-		return errMsg(err)
+		s.binError(bc, err)
+		return nil
 	}
-	if req.Radius < 0 {
-		return errMsg(fmt.Errorf("negative minChange %v", req.Radius))
+	if !(minChange >= 0) {
+		s.binError(bc, fmt.Errorf("wire: minChange %v is not a non-negative number", minChange))
+		return nil
 	}
-	id := s.addSubscription(conn, q, req.Radius)
-	return &Message{Type: "subscribed", Age: id}
+	if bc.sub == nil {
+		bc.sub = &subscriber{conn: bc.conn, subs: make(map[int]*wireSub), next: 1}
+		s.subscribers.mu.Lock()
+		s.subscribers.byConn[bc.conn] = bc.sub
+		s.subscribers.mu.Unlock()
+	}
+	sub := bc.sub
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	id := sub.next
+	sub.next++
+	sub.subs[id] = &wireSub{q: q, minChange: minChange}
+	bc.wbuf = appendSubscribedFrame(bc.wbuf[:0], id)
+	bc.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
+	_, err = bc.conn.Write(bc.wbuf)
+	return err
 }
 
 // Notification is one server push for a standing query.
@@ -179,45 +195,117 @@ type Notification struct {
 	Arrivals int64
 }
 
-// Subscribe registers a standing query on this client's connection. The
-// returned channel delivers notifications until the connection closes;
-// after calling Subscribe the client must not issue synchronous
-// round-trips on the same connection (the stream now interleaves pushed
-// frames) — use a dedicated connection for subscriptions.
-func (c *Client) Subscribe(q query.Query, minChange float64) (int, <-chan Notification, error) {
+// Subscribe registers a standing query on this connection and returns
+// its ID plus a channel of notifications, closed when the connection
+// closes. From then on the connection is push-only: issue no further
+// calls on this client except Close, and use a dedicated connection
+// for subscriptions. The subscribe round trip runs under the caller's
+// SetDeadline; once the server acknowledges, the deadline is cleared
+// so the notification reader waits as long as the connection lives.
+func (c *BinClient) Subscribe(q query.Query, minChange float64) (int, <-chan Notification, error) {
 	if err := q.Validate(); err != nil {
 		return 0, nil, err
 	}
-	resp, err := c.roundTrip(&Message{
-		Type: "subscribe", Ages: q.Ages, Weights: q.Weights,
-		Precision: q.Precision, Radius: minChange,
-	})
+	c.wbuf = appendSubscribeFrame(c.wbuf[:0], q, minChange)
+	body, err := c.roundTripBin()
 	if err != nil {
 		return 0, nil, err
 	}
-	if resp.Type != "subscribed" {
-		return 0, nil, fmt.Errorf("wire: unexpected response %q", resp.Type)
+	if len(body) != 5 || body[0] != bfSubscribed {
+		return 0, nil, errFrameType
 	}
+	id := int(binary.BigEndian.Uint32(body[1:]))
+	if err := c.conn.SetDeadline(time.Time{}); err != nil {
+		return 0, nil, err
+	}
+	// The buffer absorbs a burst of pushes while the caller is busy; a
+	// consumer slower than that stalls the reader, and TCP flow control
+	// then stalls the server's pushes up to its write deadline.
 	ch := make(chan Notification, 16)
-	//lint:allow goroexit the reader exits when the connection closes: ReadFrameBuf fails and the loop returns
+	// The reader owns the connection's read side from here on, so it
+	// inherits the client's reusable frame buffer.
+	buf := c.rbuf
+	c.rbuf = nil
+	//lint:allow goroexit the reader exits when the connection closes: readBinFrame fails and the loop returns
 	go func() {
 		defer close(ch)
-		// The subscription loop owns the connection's read side from
-		// here on, so it inherits the client's reusable body buffer.
-		buf := c.rbuf
-		c.rbuf = nil
 		for {
 			//lint:allow deadline the wait for the next notify is unbounded by design; conn close ends it
-			m, next, rerr := ReadFrameBuf(c.conn, buf)
-			if rerr != nil {
+			body, next, err := readBinFrame(c.conn, buf)
+			if err != nil {
 				return
 			}
 			buf = next
-			if m.Type != "notify" {
+			if body[0] != bfNotify {
 				continue
 			}
-			ch <- Notification{ID: m.Age, Value: m.Value, Arrivals: m.Arrivals}
+			if n, err := decodeNotifyFrame(body[1:]); err == nil {
+				ch <- n
+			}
 		}
 	}()
-	return resp.Age, ch, nil
+	return id, ch, nil
+}
+
+// appendSubscribeFrame appends a subscribe frame for q, which must be
+// valid (query.Query.Validate).
+func appendSubscribeFrame(dst []byte, q query.Query, minChange float64) []byte {
+	start := len(dst)
+	dst = codec.Begin(dst)
+	dst = append(dst, bfSubscribe)
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(minChange))
+	dst = appendQueryTerms(dst, []query.Query{q})
+	return codec.Finish(dst, start)
+}
+
+// decodeSubscribeFrame parses a subscribe frame payload: its query
+// lands in sc.qs[0], aliasing sc's buffers.
+func decodeSubscribeFrame(payload []byte, sc *binQueryScratch) (minChange float64, err error) {
+	if len(payload) < 8 {
+		return 0, errFrameTruncated
+	}
+	if err := decodeQueryFrame(payload[8:], sc); err != nil {
+		return 0, err
+	}
+	if len(sc.qs) != 1 {
+		return 0, errFrameLength
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(payload)), nil
+}
+
+// appendSubscribedFrame appends the reply carrying a new subscription's
+// ID.
+func appendSubscribedFrame(dst []byte, id int) []byte {
+	start := len(dst)
+	dst = codec.Begin(dst)
+	dst = append(dst, bfSubscribed)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(id))
+	return codec.Finish(dst, start)
+}
+
+const notifyLen = 1 + 4 + 8 + 8
+
+// appendNotifyFrame appends one notify frame.
+func appendNotifyFrame(dst []byte, id int, v float64, arrivals int64) []byte {
+	start := len(dst)
+	dst = codec.Begin(dst)
+	var b [notifyLen]byte
+	b[0] = bfNotify
+	binary.BigEndian.PutUint32(b[1:], uint32(id))
+	binary.BigEndian.PutUint64(b[5:], math.Float64bits(v))
+	binary.BigEndian.PutUint64(b[13:], uint64(arrivals))
+	dst = append(dst, b[:]...)
+	return codec.Finish(dst, start)
+}
+
+// decodeNotifyFrame parses a notify frame payload.
+func decodeNotifyFrame(payload []byte) (Notification, error) {
+	if len(payload) != notifyLen-1 {
+		return Notification{}, errFrameLength
+	}
+	return Notification{
+		ID:       int(binary.BigEndian.Uint32(payload)),
+		Value:    math.Float64frombits(binary.BigEndian.Uint64(payload[4:])),
+		Arrivals: int64(binary.BigEndian.Uint64(payload[12:])),
+	}, nil
 }

@@ -1,12 +1,25 @@
 package wire
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/streamsum/swat/internal/core"
 	"github.com/streamsum/swat/internal/query"
 )
+
+// feedAcked streams vs on c and pings, so the server has taken every
+// value into its ingest queue when it returns.
+func feedAcked(t *testing.T, c *BinClient, vs ...float64) {
+	t.Helper()
+	if err := c.FeedBatch(vs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSubscribeNotifications(t *testing.T) {
 	addr, srv, shutdown := startServer(t, core.Options{WindowSize: 16})
@@ -16,11 +29,7 @@ func TestSubscribeNotifications(t *testing.T) {
 		srv.Feed(10)
 	}
 
-	sub, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
+	sub := dialBinary(t, addr)
 	q, _ := query.New(query.Point, 0, 1, 0)
 	id, ch, err := sub.Subscribe(q, 5) // notify on changes >= 5
 	if err != nil {
@@ -31,16 +40,10 @@ func TestSubscribeNotifications(t *testing.T) {
 	}
 
 	// A separate feeder connection drives data.
-	feeder, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer feeder.Close()
+	feeder := dialBinary(t, addr)
 
 	// First arrival after subscribing always notifies.
-	if _, err := feeder.Feed(10); err != nil {
-		t.Fatal(err)
-	}
+	feedAcked(t, feeder, 10)
 	n := waitNotification(t, ch)
 	if n.ID != id {
 		t.Errorf("notification id = %d", n.ID)
@@ -48,9 +51,7 @@ func TestSubscribeNotifications(t *testing.T) {
 	first := n.Value
 
 	// Small drift below minChange: no notification.
-	if _, err := feeder.Feed(11); err != nil {
-		t.Fatal(err)
-	}
+	feedAcked(t, feeder, 11)
 	select {
 	case n := <-ch:
 		t.Fatalf("unexpected notification %+v for sub-threshold change", n)
@@ -58,11 +59,8 @@ func TestSubscribeNotifications(t *testing.T) {
 	}
 
 	// A big jump notifies.
-	for i := 0; i < 2; i++ {
-		if _, err := feeder.Feed(60); err != nil {
-			t.Fatal(err)
-		}
-	}
+	feedAcked(t, feeder, 60)
+	feedAcked(t, feeder, 60)
 	n = waitNotification(t, ch)
 	if n.Value <= first {
 		t.Errorf("notified value %v did not move above %v", n.Value, first)
@@ -75,17 +73,18 @@ func TestSubscribeNotifications(t *testing.T) {
 func TestSubscribeValidation(t *testing.T) {
 	addr, _, shutdown := startServer(t, core.Options{WindowSize: 16})
 	defer shutdown()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialBinary(t, addr)
 	if _, _, err := c.Subscribe(query.Query{}, 1); err == nil {
 		t.Error("invalid query accepted")
 	}
 	q, _ := query.New(query.Point, 0, 1, 0)
-	if _, _, err := c.Subscribe(q, -1); err == nil {
-		t.Error("negative minChange accepted")
+	var remote *RemoteError
+	if _, _, err := c.Subscribe(q, -1); !errors.As(err, &remote) {
+		t.Errorf("negative minChange: err = %v, want a server refusal", err)
+	}
+	// The refusal is soft: the connection still serves.
+	if _, err := c.Ping(); err != nil {
+		t.Errorf("connection died after a refused subscribe: %v", err)
 	}
 }
 
@@ -95,7 +94,7 @@ func TestSubscriberDisconnectCleansUp(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		srv.Feed(5)
 	}
-	c, err := Dial(addr)
+	c, err := DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +108,11 @@ func TestSubscriberDisconnectCleansUp(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		srv.Feed(6)
-		srv.subscribers.mu.Lock()
-		left := len(srv.subscribers.byID)
-		srv.subscribers.mu.Unlock()
-		if left == 0 {
+		if !srv.hasSubscribers() {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d subscriber(s) still registered after disconnect", left)
+			t.Fatal("subscriber still registered after disconnect")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -134,33 +130,4 @@ func waitNotification(t *testing.T, ch <-chan Notification) Notification {
 		t.Fatal("timed out waiting for notification")
 	}
 	return Notification{}
-}
-
-func TestSnapshotRestoreTree(t *testing.T) {
-	srv, err := NewServer(core.Options{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		srv.Feed(float64(i))
-	}
-	data, err := srv.SnapshotTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := NewServer(core.Options{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.RestoreTree(data); err != nil {
-		t.Fatal(err)
-	}
-	a := srv.dispatch(nil, &Message{Type: "point", Age: 3})
-	b := srv2.dispatch(nil, &Message{Type: "point", Age: 3})
-	if a.Type != "result" || b.Type != "result" || a.Value != b.Value {
-		t.Errorf("restored server answers differently: %+v vs %+v", a, b)
-	}
-	if err := srv2.RestoreTree([]byte("garbage")); err == nil {
-		t.Error("garbage snapshot accepted")
-	}
 }

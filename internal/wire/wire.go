@@ -1,14 +1,10 @@
 // Package wire provides a small TCP protocol for serving a SWAT summary
 // over a real network: a server owns a SWAT tree fed by data frames and
-// answers point, range, and inner-product queries from any number of
-// concurrent clients. One server port speaks two protocols, negotiated
-// by the connection's first four bytes:
-//
-//   - v1: length-prefixed JSON — 4 bytes of big-endian length followed
-//     by the message body — easily spoken from other languages (Client).
-//   - v2: the binary data plane — CRC32C codec-framed batches of raw
-//     float64s with reused buffers and explicit backpressure, for
-//     line-rate ingest (BinClient; see binary.go).
+// answers point, range, and inner-product queries and standing-query
+// subscriptions from any number of concurrent clients. Every connection
+// speaks one binary protocol: CRC32C codec-framed batches of raw
+// float64s with reused buffers and explicit backpressure (BinClient;
+// negotiation and the frame table are in binary.go).
 //
 // This is the deployable counterpart of the simulated hierarchy in
 // internal/netsim: cmd/swatd serves a stream and cmd/swatquery queries
@@ -18,123 +14,6 @@
 //swat:server
 package wire
 
-import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-)
-
-// MaxFrame bounds the size of a single frame (1 MiB), protecting both
-// sides from corrupt length prefixes.
+// MaxFrame bounds the size of a single frame body (1 MiB), protecting
+// both sides from corrupt length prefixes.
 const MaxFrame = 1 << 20
-
-// Message is the single frame envelope for both directions. Type selects
-// the operation; fields another type does not use are simply ignored.
-//
-// Presence semantics: the scalar request fields (Value, Precision, Age,
-// Center, Radius, From, To) are always encoded, even at zero, so a
-// point query at age 0 or a data frame carrying value 0 is explicit on
-// the wire rather than indistinguishable from an absent field. Decoders
-// treat a missing scalar as its zero value, so older v1 clients that
-// omit zeros keep working. Result-side counters (Arrivals, Window,
-// Nodes, Ready) and slices keep omitempty under the same zero-value
-// contract: absent means zero/empty, which is exactly what the zero
-// value denotes for them.
-type Message struct {
-	// Type is one of "data", "query", "point", "range", "stats",
-	// "result", "matches", "statsResult", "error".
-	Type string `json:"type"`
-
-	// Value carries a stream value ("data") or a scalar answer
-	// ("result").
-	Value float64 `json:"value"`
-
-	// Query fields.
-	Ages      []int     `json:"ages,omitempty"`
-	Weights   []float64 `json:"weights,omitempty"`
-	Precision float64   `json:"precision"`
-
-	// Point/range fields.
-	Age    int     `json:"age"`
-	Center float64 `json:"center"`
-	Radius float64 `json:"radius"`
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-
-	// Range results.
-	MatchAges   []int     `json:"matchAges,omitempty"`
-	MatchValues []float64 `json:"matchValues,omitempty"`
-
-	// Stats results.
-	Arrivals int64 `json:"arrivals,omitempty"`
-	Window   int   `json:"window,omitempty"`
-	Nodes    int   `json:"nodes,omitempty"`
-	Ready    bool  `json:"ready,omitempty"`
-
-	// Error carries a server-side failure for "error" frames.
-	Error string `json:"error,omitempty"`
-}
-
-// WriteFrame encodes m as one length-prefixed frame.
-func WriteFrame(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(body), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write body: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame decodes one frame. It returns io.EOF unchanged when the
-// connection closes cleanly between frames.
-func ReadFrame(r io.Reader) (*Message, error) {
-	m, _, err := ReadFrameBuf(r, nil)
-	return m, err
-}
-
-// ReadFrameBuf decodes one frame like ReadFrame, but reads the body
-// into buf — grown to its high-water mark and returned for the next
-// call — so a connection loop pays no per-frame body allocation. The
-// returned Message does not alias buf.
-func ReadFrameBuf(r io.Reader, buf []byte) (*Message, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, buf, io.EOF
-		}
-		return nil, buf, fmt.Errorf("wire: read header: %w", err)
-	}
-	return readFrameBody(r, binary.BigEndian.Uint32(hdr[:]), buf)
-}
-
-// readFrameBody finishes a frame whose length prefix has already been
-// consumed (by ReadFrameBuf or by protocol negotiation).
-func readFrameBody(r io.Reader, n uint32, buf []byte) (*Message, []byte, error) {
-	if n > MaxFrame {
-		return nil, buf, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrame)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, fmt.Errorf("wire: read body: %w", err)
-	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, buf, fmt.Errorf("wire: decode: %w", err)
-	}
-	return &m, buf, nil
-}

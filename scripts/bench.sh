@@ -25,7 +25,7 @@ STAGE="${2:-all}"
 
 HOTPATH_BENCHES='BenchmarkTreeUpdate$|BenchmarkTreeUpdateBatch|BenchmarkTreePointQuery|BenchmarkTreeInnerProduct|BenchmarkMonitorIngest'
 QUERY_BENCHES='BenchmarkQueryAdhoc|BenchmarkQueryPlan|BenchmarkAnswerBatch|BenchmarkHistogramQuery|BenchmarkMonitorQueryAll'
-WIRE_BENCHES='BenchmarkWireV1Ingest|BenchmarkWireV2Ingest16|BenchmarkWireV2Ingest256|BenchmarkWireV2IngestLatency|BenchmarkWireV2QueryBatch'
+WIRE_BENCHES='BenchmarkWireV2Ingest16|BenchmarkWireV2Ingest256|BenchmarkWireV2IngestLatency|BenchmarkWireV2QueryBatch'
 MERGE_BENCHES='BenchmarkTreeMerge|BenchmarkSummaryEncode|BenchmarkSummaryDecode'
 
 # run_stage <name> <bench regexp>: runs the suite, tees raw benchstat-
