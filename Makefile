@@ -48,9 +48,10 @@ race-merge:
 # full depth (no -short, no cached results): real TCP listeners,
 # consistent-hash sharding, and the pool's pipelined gathers exercise
 # the wire/cluster locking that the deadline and lockflow analyzers
-# check statically.
+# check statically; cmd/swatd adds the SIGTERM-and-restart test of a
+# durable swatd process.
 race-cluster:
-	$(GO) test -race -count=1 ./internal/wire ./internal/cluster
+	$(GO) test -race -count=1 ./internal/wire ./internal/cluster ./cmd/swatd
 
 # The live-resharding proofs under the race detector: the netsim
 # migration scenarios (scripted source crashes, transfers cut at
@@ -110,7 +111,7 @@ bench-wire:
 bench-merge:
 	scripts/bench.sh 6 merge
 
-# Multi-process cluster benchmark: 1/2/4 swatd -streams nodes behind
+# Multi-process cluster benchmark: 1/2/4 swatd nodes behind
 # cluster.Client sharding, with scatter-gather latency; writes
 # BENCH_cluster.{txt,json}. The smoke variant boots one node and drives
 # it for a second — a tripwire for the swatd/swatload/cluster stack,

@@ -14,7 +14,7 @@
 // the server's block policy measure real backpressure: a ping answers
 // only after every frame before it was accepted. With -cluster each
 // worker opens a cluster client over the listed
-// swatd -streams nodes and ships named-stream batches, sharded by the
+// swatd nodes and ships named-stream batches, sharded by the
 // consistent-hash ring; Sync round trips sample ingest latency across
 // the whole fleet. -json emits one machine-readable result object
 // instead of text.
@@ -224,7 +224,7 @@ func main() {
 		duration = flag.Duration("duration", 10*time.Second, "run length")
 		seed     = flag.Int64("seed", 1, "base stream seed (each connection offsets it)")
 		asJSON   = flag.Bool("json", false, "emit one JSON result object instead of text")
-		fleet    = flag.String("cluster", "", "comma-separated swatd -streams addresses: shard named streams across them instead of -addr")
+		fleet    = flag.String("cluster", "", "comma-separated swatd addresses: shard named streams across them instead of -addr")
 		nstreams = flag.Int("streams", 8, "cluster mode: named streams per worker")
 		vnodes   = flag.Int("vnodes", 0, "cluster mode: virtual nodes per ring member (0: library default)")
 		window   = flag.Int("window", 1024, "cluster mode: sliding-window size N of the fleet (must match swatd)")

@@ -177,7 +177,7 @@ func answer(c *wire.BinClient, q query.Query) float64 {
 	return v[0]
 }
 
-// feed streams one value and polls stats until the server's tree has
+// feed streams one value and polls stats until the default stream has
 // applied it (or counted it shed), returning the arrival count.
 func feed(c *wire.BinClient, v float64) int64 {
 	before, err := c.Stats()

@@ -20,8 +20,7 @@ import (
 
 // Config describes a fleet and the summaries it keeps.
 type Config struct {
-	// Nodes are the wire-v2 swatd addresses (swatd -streams); at least
-	// one is required.
+	// Nodes are the wire-v2 swatd addresses; at least one is required.
 	Nodes []string
 
 	// WindowSize, Coefficients, MinLevel fix the per-stream tree

@@ -46,6 +46,13 @@ func (n *testNode) stop() {
 // startTestNode starts a stream-capable node on a loopback port.
 func startTestNode(t *testing.T) *testNode {
 	t.Helper()
+	return startTestNodeAt(t, "")
+}
+
+// startTestNodeAt starts a node whose streams are durable under dataDir
+// (swatd -data-dir), or in memory when dataDir is empty.
+func startTestNodeAt(t *testing.T, dataDir string) *testNode {
+	t.Helper()
 	srv, err := wire.NewServer(testGeometry)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +62,7 @@ func startTestNode(t *testing.T) *testNode {
 		WindowSize:   testGeometry.WindowSize,
 		Coefficients: testGeometry.Coefficients,
 		MinLevel:     testGeometry.MinLevel,
+		DataDir:      dataDir,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,10 +21,14 @@ package multi
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"net/url"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/streamsum/swat/internal/core"
@@ -161,11 +165,9 @@ func (m *Monitor) shardOf(idx int) *shard {
 	return m.shards[idx%len(m.shards)]
 }
 
-// Add registers a new stream under a unique name.
+// Add registers a new stream under a unique name. The empty name is a
+// name like any other; wire servers keep their default stream under it.
 func (m *Monitor) Add(name string) error {
-	if name == "" {
-		return fmt.Errorf("multi: empty stream name")
-	}
 	m.reg.Lock()
 	defer m.reg.Unlock()
 	if m.closed {
@@ -201,6 +203,50 @@ func (m *Monitor) Add(name string) error {
 	s := m.shardOf(idx)
 	s.streams = append(s.streams, idx)
 	return nil
+}
+
+// AddStored registers every stream that has a store under DataDir but
+// is not registered yet, recovering each from disk as Add does, and
+// returns the names it added in directory order. A restarted durable
+// node calls it so its streams answer before their next write. An
+// in-memory monitor has nothing stored and adds nothing.
+func (m *Monitor) AddStored() ([]string, error) {
+	if m.opts.DataDir == "" {
+		return nil, nil
+	}
+	ents, err := os.ReadDir(m.opts.DataDir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("multi: %w", err)
+	}
+	var added []string
+	for _, e := range ents {
+		name, ok := streamName(e.Name())
+		if !ok || !e.IsDir() {
+			continue
+		}
+		if _, err := m.Ref(name); err == nil {
+			continue
+		}
+		if err := m.Add(name); err != nil {
+			return added, err
+		}
+		added = append(added, name)
+	}
+	return added, nil
+}
+
+// streamName inverts streamDir; ok is false for a directory name
+// streamDir never produces.
+func streamName(dir string) (name string, ok bool) {
+	rest, ok := strings.CutPrefix(dir, "s-")
+	if !ok {
+		return "", false
+	}
+	name, err := url.PathUnescape(rest)
+	return name, err == nil && streamDir(name) == dir
 }
 
 // streamDir maps an arbitrary stream name to a filesystem-safe

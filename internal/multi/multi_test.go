@@ -42,14 +42,17 @@ func TestAddAndAccessors(t *testing.T) {
 	if err := m.Add("cpu"); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := m.Add(""); err == nil {
-		t.Error("empty name accepted")
+	if err := m.Add(""); err != nil {
+		t.Errorf("empty name refused: %v", err)
 	}
-	if m.Len() != 2 {
+	if err := m.Add(""); err == nil {
+		t.Error("duplicate empty name accepted")
+	}
+	if m.Len() != 3 {
 		t.Errorf("Len = %d", m.Len())
 	}
 	names := m.Streams()
-	if len(names) != 2 || names[0] != "cpu" || names[1] != "mem" {
+	if len(names) != 3 || names[0] != "cpu" || names[1] != "mem" || names[2] != "" {
 		t.Errorf("Streams = %v", names)
 	}
 	names[0] = "hacked"

@@ -232,7 +232,7 @@ func TestStreamHandlersDoNotAllocate(t *testing.T) {
 	//lint:allow sentinelcheck guard reference: ties the alloc budget to resolveStream's identity
 	_ = (*binConn).resolveStream // guarded through handleStreamData's cache hits
 	// Stall the worker so the 1-slot queue settles into the
-	// deterministic shed-and-recycle cycle, as in the single-tree guard.
+	// deterministic shed-and-recycle cycle, as in the default-stream guard.
 	srv.mu.Lock()
 	run := func() error {
 		if err := srv.handleStreamData(bc, dataBody[1:]); err != nil {

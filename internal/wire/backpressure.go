@@ -43,10 +43,12 @@ func (p IngestPolicy) String() string {
 // queue's free list, so the steady state allocates nothing.
 type ingestBatch struct {
 	vals []float64
-	// ref routes a stream-addressed batch (named set) to its stream;
-	// unnamed batches go to the server's shared tree.
-	ref   multi.StreamRef
-	named bool
+	// ref is the stream the batch goes to: the default stream for data
+	// frames, the named stream for sdata frames.
+	ref multi.StreamRef
+	// settled marks a barrier instead of data: the worker closes it when
+	// it gets there, so every batch queued before it has been applied.
+	settled chan struct{}
 }
 
 // ingestQueue is the bounded hand-off plus its accounting.
@@ -86,7 +88,6 @@ func (q *ingestQueue) get() *ingestBatch {
 func (q *ingestQueue) put(b *ingestBatch) {
 	b.vals = b.vals[:0]
 	b.ref = multi.StreamRef{}
-	b.named = false
 	select {
 	case q.free <- b:
 	default:

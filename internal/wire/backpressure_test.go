@@ -160,7 +160,7 @@ func TestCloseDrainsIngestQueue(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Tree().Arrivals(); got != 32 {
+	if got := srv.def.tree.Arrivals(); got != 32 {
 		t.Errorf("arrivals after close = %d, want 32", got)
 	}
 }

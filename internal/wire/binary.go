@@ -92,17 +92,17 @@ const (
 	bfPing     = 0x08
 	bfPong     = 0x09
 	bfError    = 0x0A
-	// Summary export (mergeable roll-ups): sumReq asks for the server
-	// tree's canonical encoded summary; sumRes carries it verbatim as
+	// Summary export (mergeable roll-ups): sumReq asks for the default
+	// stream's canonical encoded summary; sumRes carries it verbatim as
 	// produced by core.AppendSummary — itself a codec frame, so the
 	// payload self-validates a second time when core.DecodeSummary
 	// parses it.
 	bfSumReq = 0x0B
 	bfSumRes = 0x0C
 	// Stream-addressed frames (the cluster data plane, see streams.go):
-	// where data/query/sumReq implicitly target the server's single
-	// shared tree, these carry a stream name and target one stream of
-	// the server's multi.Monitor (Server.UseMonitor). sdata is one-way
+	// where data/query/sumReq implicitly target the server's default
+	// stream, these carry a stream name and target one named stream of
+	// the server's multi.Monitor. sdata is one-way
 	// like data but carries no sequence index — many streams interleave
 	// on one connection, so per-connection contiguity is meaningless;
 	// per-stream delivery accounting lives in the cluster client.
@@ -133,7 +133,7 @@ const (
 	bfSFoldRes = 0x1C
 	// Standing queries (see subscribe.go): subscribe registers one
 	// query on the connection, subscribed carries its ID, and notify
-	// frames push its value as the tree moves.
+	// frames push its value as the default stream moves.
 	bfSubscribe  = 0x1D
 	bfSubscribed = 0x1E
 	bfNotify     = 0x1F
@@ -373,11 +373,12 @@ func decodeAnswerFrame(payload []byte, dst []float64) error {
 	return nil
 }
 
-// StatsV2 is the server state a v2 stats frame reports: the tree's
-// counters plus the ingest queue's backpressure view, which is how a
-// client adapts its send rate (or learns it is being shed).
+// StatsV2 is the server state a v2 stats frame reports: the default
+// stream's tree counters plus the ingest queue's backpressure view,
+// which is how a client adapts its send rate (or learns it is being
+// shed).
 type StatsV2 struct {
-	// Arrivals, Window, Nodes, Ready are the tree's counters.
+	// Arrivals, Window, Nodes, Ready are the default stream's counters.
 	Arrivals int64
 	Window   int
 	Nodes    int

@@ -399,7 +399,8 @@ func (c *BinClient) QueryBatch(qs []query.Query, dst []float64) error {
 	return decodeAnswerFrame(body[1:], dst)
 }
 
-// Stats fetches the server's tree counters and backpressure state.
+// Stats fetches the default stream's counters and the server's
+// backpressure state.
 func (c *BinClient) Stats() (StatsV2, error) {
 	c.wbuf = codec.Finish(append(codec.Begin(c.wbuf[:0]), bfStats), 0)
 	body, err := c.roundTripBin()

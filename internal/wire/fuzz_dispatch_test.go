@@ -36,7 +36,7 @@ func (nopConn) SetWriteDeadline(time.Time) error {
 // FuzzServerDispatch hardens the server's frame handlers against
 // arbitrary client bytes. The input is read as a stream of codec frames
 // and each is fed through dispatchBinary on one connection of a server
-// with a stream monitor attached, so every handler — single-tree and
+// over a monitor of its caller's, so every handler — default-stream and
 // stream-addressed data and queries, summaries, folds, epochs,
 // migrations and subscriptions — sees it. However corrupt or
 // adversarial the frames, the server must never panic: a frame either
@@ -89,6 +89,15 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(appendSubscribeFrame(nil, query.Query{Ages: []int{-3}, Weights: []float64{1}}, 1))
 	f.Add(appendSubscribeFrame(nil, q, -3))
 	f.Add(cat(appendDataFrame(nil, 0, []float64{1}), appendDataFrame(nil, 9, []float64{2})))
+	// Unnamed data and sdata interleaved on one connection, ending with
+	// an sdata frame that names the default stream.
+	f.Add(cat(
+		appendDataFrame(nil, 0, []float64{1, 2}),
+		appendStreamDataFrame(nil, "cpu", 0, []float64{3, 4}),
+		appendDataFrame(nil, 2, []float64{5}),
+		appendQueryFrame(nil, []query.Query{q}),
+		appendStreamDataFrame(nil, "", 0, []float64{6}),
+	))
 	hostile := func(typ byte, fields ...[]byte) []byte {
 		b := []byte{typ}
 		for _, fl := range fields {

@@ -492,11 +492,6 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 		s.binError(bc, fmt.Errorf("wire: commit targets ring epoch %d but server is at %d", epoch, se))
 		return nil
 	}
-	m := s.Monitor()
-	if m == nil {
-		s.binError(bc, errNoMonitor)
-		return nil
-	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	e := s.migLookup(name)
@@ -513,7 +508,7 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 		s.binError(bc, err)
 		return nil
 	}
-	if err := m.InstallSummary(string(name), sum); err != nil {
+	if err := s.monitor.InstallSummary(string(name), sum); err != nil {
 		s.binError(bc, err)
 		return nil
 	}

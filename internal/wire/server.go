@@ -11,29 +11,32 @@ import (
 	"time"
 
 	"github.com/streamsum/swat/internal/core"
-	"github.com/streamsum/swat/internal/durable"
 	"github.com/streamsum/swat/internal/multi"
 )
 
-// Server owns a SWAT tree and serves it over TCP in the binary
-// protocol of binary.go. Data frames flow through a bounded ingest
-// queue with explicit backpressure (see backpressure.go). The tree is
-// internally locked, so many clients can talk to one server
-// concurrently.
+// Server serves SWAT trees over TCP in the binary protocol of
+// binary.go. Every tree lives in one multi.Monitor: the unnamed frames
+// (data, query, stats, sumReq, subscribe) and Feed address the monitor's
+// default stream, registered under the empty name that no stream frame
+// can carry, and the stream frames address the named streams beside it.
+// Data frames of both kinds flow through one bounded ingest queue with
+// explicit backpressure (see backpressure.go). Trees lock internally, so
+// many clients can talk to one server concurrently.
 type Server struct {
-	mu   sync.Mutex
-	tree *core.Tree
-	// store, when set via UseStore, write-ahead logs every arrival
-	// before it reaches the tree.
-	store *durable.Store
+	// mu serializes the default stream's arrivals with the
+	// standing-query pass that follows each (see subscribe.go).
+	mu sync.Mutex
 
-	// monitor, when set via UseMonitor, serves the stream-addressed v2
-	// frames (the cluster data plane, see server_streams.go);
-	// streamRefs caches name→handle resolutions. Both are guarded by
-	// streamMu — the monitor locks internally, so named ingest never
-	// takes s.mu.
-	streamMu   sync.Mutex
+	// monitor holds every tree (see server_streams.go) and def is its
+	// default stream; ownMonitor marks a monitor NewServer created, which
+	// Close closes. All three are fixed before data flows and read
+	// without a lock; the monitor locks internally, so named ingest never
+	// takes s.mu. streamRefs caches name→handle resolutions under
+	// streamMu.
 	monitor    *multi.Monitor
+	ownMonitor bool
+	def        streamHandle
+	streamMu   sync.Mutex
 	streamRefs map[string]streamHandle
 
 	// Live-resharding state (see migrate.go). epoch is the ring version
@@ -81,63 +84,42 @@ type Server struct {
 	subscribers *subscribers
 }
 
-// NewServer creates a server around a fresh SWAT tree.
+// NewServer creates a server over an in-memory monitor of its own whose
+// default stream has exactly the geometry core.New(opts) resolves. Swap
+// in another monitor, e.g. a durable one, with UseMonitor.
 func NewServer(opts core.Options) (*Server, error) {
-	tree, err := core.New(opts)
+	probe, err := core.New(opts) // resolves k=0 as core does; multi would pick 4
 	if err != nil {
 		return nil, err
 	}
-	return &Server{
-		tree:        tree,
+	mon, err := multi.New(multi.Options{WindowSize: opts.WindowSize, Coefficients: probe.Coefficients(), MinLevel: opts.MinLevel})
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{
 		conns:       make(map[net.Conn]struct{}),
 		Logf:        log.Printf,
 		subscribers: &subscribers{byConn: make(map[net.Conn]*subscriber)},
-	}, nil
-}
-
-// Tree exposes the server's tree, e.g. to open a durable store over it
-// before any data arrives. Do not Update it directly.
-func (s *Server) Tree() *core.Tree {
-	return s.tree
-}
-
-// UseStore routes every arrival (Feed and data frames) through the
-// durable store's write-ahead log. The store must be open over this
-// server's tree (see Tree), and must be installed before data flows.
-func (s *Server) UseStore(st *durable.Store) error {
-	if st == nil {
-		return errors.New("wire: nil store")
 	}
-	if st.Tree() != s.tree {
-		return errors.New("wire: store is not backed by this server's tree")
+	if err := s.UseMonitor(mon); err != nil {
+		mon.Close()
+		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.store = st
-	return nil
+	s.ownMonitor = true
+	return s, nil
 }
 
-// Feed pushes a value into the tree directly (for servers that own the
-// data source rather than receiving data frames) and notifies standing
-// queries. With a store installed the value is write-ahead logged
-// first, and a log failure leaves the tree untouched.
+// Feed pushes a value into the default stream directly (for servers
+// that own the data source rather than receiving data frames) and
+// notifies standing queries. In a durable monitor the value is
+// write-ahead logged first, and a log failure leaves the tree untouched.
 func (s *Server) Feed(v float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ingestOne(v); err != nil {
+	if err := s.def.ref.Observe(v); err != nil {
 		return err
 	}
 	s.notifySubscribers()
-	return nil
-}
-
-// ingestOne applies one arrival through the store when present. Called
-// with s.mu held.
-func (s *Server) ingestOne(v float64) error {
-	if s.store != nil {
-		return s.store.Append1(v)
-	}
-	s.tree.Update(v)
 	return nil
 }
 
@@ -172,46 +154,35 @@ func (s *Server) startIngestLocked() {
 }
 
 // ingestLoop is the single worker draining the binary data plane: it
-// applies each queued batch to the tree (through the WAL when a store
-// is installed) and fires standing queries. One drainer keeps batch
-// application in arrival order per connection and lets every
-// connection reader run at socket speed.
+// applies each queued batch to its stream (write-ahead logged first in
+// a durable monitor) and, for the default stream, fires standing
+// queries. One drainer keeps batch application in arrival order per
+// connection and lets every connection reader run at socket speed.
 func (s *Server) ingestLoop() {
 	defer close(s.ingestDone)
 	for b := range s.ingest.ch {
-		if b.named {
-			// Stream-addressed batch: the monitor shards and locks
-			// internally, so the server lock (and the shared tree's
-			// standing queries) are not involved.
-			if err := b.ref.ObserveBatch(b.vals); err != nil {
-				s.ingest.errs.Add(1)
-				s.Logf("wire: ingest: %v", err)
-			}
-			s.ingest.put(b)
+		if b.settled != nil {
+			close(b.settled)
 			continue
 		}
-		s.mu.Lock()
-		err := s.ingestBatch(b.vals)
-		if err == nil && s.hasSubscribers() {
-			s.notifySubscribers()
+		var err error
+		if b.ref == s.def.ref {
+			s.mu.Lock()
+			if err = b.ref.ObserveBatch(b.vals); err == nil && s.hasSubscribers() {
+				s.notifySubscribers()
+			}
+			s.mu.Unlock()
+		} else {
+			// The monitor shards and locks internally: named batches
+			// never take the server lock.
+			err = b.ref.ObserveBatch(b.vals)
 		}
-		s.mu.Unlock()
 		if err != nil {
 			s.ingest.errs.Add(1)
 			s.Logf("wire: ingest: %v", err)
 		}
 		s.ingest.put(b)
 	}
-}
-
-// ingestBatch applies one batch through the store when present. Called
-// with s.mu held.
-func (s *Server) ingestBatch(vs []float64) error {
-	if s.store != nil {
-		return s.store.Append(vs)
-	}
-	s.tree.UpdateBatch(vs)
-	return nil
 }
 
 // Serve accepts connections until Close is called. Listen must have been
@@ -251,12 +222,16 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close stops accepting, flushes a final notify frame to every standing
-// query under ShutdownTimeout, then cuts the remaining connections and
-// waits for their handlers. The flush means a subscriber observes the
-// tree's final state before its channel closes instead of losing
-// whatever changed since its last notification. All shutdown failures
-// are returned joined; Close is idempotent.
+// Close stops accepting, applies every batch already queued, flushes a
+// final notify frame to every standing query under ShutdownTimeout,
+// cuts the remaining connections, waits for their handlers and drains
+// whatever they queued meanwhile into the monitor. The flush means a
+// subscriber observes the default stream's final state before its
+// channel closes instead of losing whatever changed since its last
+// notification. A monitor NewServer created is closed last; one passed
+// to UseMonitor stays open for its owner, who closes it after Close
+// returns. All shutdown failures are returned joined; Close is
+// idempotent.
 func (s *Server) Close() error {
 	s.lnMu.Lock()
 	if s.closed {
@@ -282,6 +257,13 @@ func (s *Server) Close() error {
 			errs = append(errs, fmt.Errorf("wire: close listener: %w", err))
 		}
 	}
+	if ingest != nil {
+		// Apply what is already queued before the flush, so the final
+		// notifications cover every batch accepted before Close.
+		b := &ingestBatch{settled: make(chan struct{})}
+		ingest.ch <- b
+		<-b.settled
+	}
 	timeout := s.ShutdownTimeout
 	if timeout == 0 {
 		timeout = 2 * time.Second
@@ -298,6 +280,11 @@ func (s *Server) Close() error {
 	if ingest != nil {
 		close(ingest.ch)
 		<-s.ingestDone
+	}
+	if s.ownMonitor {
+		if err := s.monitor.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("wire: close monitor: %w", err))
+		}
 	}
 	return errors.Join(errs...)
 }

@@ -116,7 +116,7 @@ func (s *Server) dispatchBinary(bc *binConn, body []byte) error {
 		}
 		bc.wbuf = codec.Begin(bc.wbuf[:0])
 		bc.wbuf = append(bc.wbuf, bfSumRes)
-		bc.wbuf = s.tree.AppendSummary(bc.wbuf)
+		bc.wbuf = s.def.tree.AppendSummary(bc.wbuf)
 		if len(bc.wbuf)-codec.HeaderLen > MaxFrame {
 			// A summary outgrows MaxFrame only under extreme geometry
 			// (a raw ring of >128Ki entries); soft-fail like a cold
@@ -176,6 +176,7 @@ func (s *Server) handleData(bc *binConn, payload []byte) error {
 	}
 	bc.started = true
 	bc.expect = first + uint64(len(vals))
+	b.ref = s.def.ref
 	s.ingest.offer(b, s.Policy)
 	return nil
 }
@@ -195,7 +196,7 @@ func (s *Server) handleQueryBatch(bc *binConn, payload []byte) error {
 		bc.q.answers = make([]float64, n)
 	}
 	dst := bc.q.answers[:n]
-	if err := s.tree.AnswerBatch(dst, bc.q.qs); err != nil {
+	if err := s.def.tree.AnswerBatch(dst, bc.q.qs); err != nil {
 		s.binError(bc, err)
 		return nil
 	}
@@ -203,14 +204,14 @@ func (s *Server) handleQueryBatch(bc *binConn, payload []byte) error {
 	return s.binWrite(bc)
 }
 
-// statsV2 assembles the v2 stats frame payload: tree counters plus the
-// ingest queue's backpressure accounting.
+// statsV2 assembles the v2 stats frame payload: the default stream's
+// counters plus the ingest queue's backpressure accounting.
 func (s *Server) statsV2() StatsV2 {
 	return StatsV2{
-		Arrivals:       s.tree.Arrivals(),
-		Window:         s.tree.WindowSize(),
-		Nodes:          s.tree.NumNodes(),
-		Ready:          s.tree.Ready(),
+		Arrivals:       s.def.tree.Arrivals(),
+		Window:         s.def.tree.WindowSize(),
+		Nodes:          s.def.tree.NumNodes(),
+		Ready:          s.def.tree.Ready(),
 		Policy:         s.Policy,
 		QueueCap:       cap(s.ingest.ch),
 		QueueLen:       len(s.ingest.ch),

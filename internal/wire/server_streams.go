@@ -1,11 +1,12 @@
 package wire
 
-// Server-side support for the stream-addressed cluster data plane: a
-// multi.Monitor behind the v2 socket. Stream frames resolve their name
-// to a pre-resolved multi.StreamRef (cached per server, with a one-slot
-// per-connection cache in front since consecutive frames usually target
-// the same stream), then ride the same bounded ingest queue as the
-// single-tree data plane — one backpressure policy covers both.
+// Server-side support for the stream-addressed cluster data plane: the
+// named streams of the server's multi.Monitor behind the v2 socket.
+// Stream frames resolve their name to a pre-resolved multi.StreamRef
+// (cached per server, with a one-slot per-connection cache in front
+// since consecutive frames usually target the same stream), then ride
+// the same bounded ingest queue as the default stream's data frames —
+// one backpressure policy covers both.
 
 import (
 	"bytes"
@@ -23,63 +24,75 @@ type streamHandle struct {
 	tree *core.Tree
 }
 
-// UseMonitor attaches a stream monitor, enabling the stream-addressed
-// v2 frames (sdata/spoint/ssum/sfold). Unknown streams named by sdata
-// frames are registered on first use, so a cluster client never
-// pre-declares placement; queries against unknown streams are soft
-// errors. Install before data flows; the caller keeps ownership and
-// closes the monitor after the server shuts down.
+// UseMonitor makes m the monitor every tree of this server lives in.
+// The default stream is registered in m under the empty name, or taken
+// over when m already holds it (a durable monitor recovers it at
+// <DataDir>/s-/ on Add). Named streams are registered on their first
+// sdata frame, so a cluster client never pre-declares placement;
+// queries against unknown streams are soft errors. Call it before data
+// flows. The monitor NewServer created is closed; the caller keeps
+// ownership of m and closes it after the server shuts down.
 func (s *Server) UseMonitor(m *multi.Monitor) error {
 	if m == nil {
 		return errors.New("wire: nil monitor")
 	}
+	def, err := openStream(m, "", true)
+	if err != nil {
+		return err
+	}
+	if s.ownMonitor {
+		s.monitor.Close() // in memory: nothing to flush, nothing to fail
+	}
+	s.monitor, s.ownMonitor, s.def = m, false, def
 	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	s.monitor = m
 	s.streamRefs = make(map[string]streamHandle)
+	s.streamMu.Unlock()
 	return nil
 }
 
-// Monitor returns the attached stream monitor, or nil.
-func (s *Server) Monitor() *multi.Monitor {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	return s.monitor
-}
+// Monitor returns the monitor holding the server's trees.
+func (s *Server) Monitor() *multi.Monitor { return s.monitor }
 
-// streamHandleFor resolves a stream name, registering it when autoAdd
-// is set (the ingest path). Ingest reaches it only behind each
-// connection's one-slot cache; batched points call it per name. A hit
-// never allocates; registering a name does.
+// streamHandleFor resolves a stream name through the server-wide
+// cache, registering it when autoAdd is set (the ingest path). Ingest
+// reaches it only behind each connection's one-slot cache; batched
+// points call it per name. A hit never allocates; registering a name
+// does.
 func (s *Server) streamHandleFor(name []byte, autoAdd bool) (streamHandle, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	if h, ok := s.streamRefs[string(name)]; ok {
 		return h, nil
 	}
-	if s.monitor == nil {
-		return streamHandle{}, errNoMonitor
-	}
 	n := string(name)
-	ref, err := s.monitor.Ref(n)
+	h, err := openStream(s.monitor, n, autoAdd)
+	if err != nil {
+		return streamHandle{}, err
+	}
+	s.streamRefs[n] = h
+	return h, nil
+}
+
+// openStream resolves a stream of m, registering it first when autoAdd
+// is set.
+func openStream(m *multi.Monitor, name string, autoAdd bool) (streamHandle, error) {
+	ref, err := m.Ref(name)
 	if err != nil {
 		if !autoAdd {
 			return streamHandle{}, err
 		}
-		if err := s.monitor.Add(n); err != nil {
+		if err := m.Add(name); err != nil {
 			return streamHandle{}, err
 		}
-		if ref, err = s.monitor.Ref(n); err != nil {
+		if ref, err = m.Ref(name); err != nil {
 			return streamHandle{}, err
 		}
 	}
-	tree, err := s.monitor.Tree(n)
+	tree, err := m.Tree(name)
 	if err != nil {
 		return streamHandle{}, err
 	}
-	h := streamHandle{ref: ref, tree: tree}
-	s.streamRefs[n] = h
-	return h, nil
+	return streamHandle{ref: ref, tree: tree}, nil
 }
 
 // resolveStream resolves through the connection's one-slot cache.
@@ -101,7 +114,7 @@ func (bc *binConn) resolveStream(s *Server, name []byte, autoAdd bool) (streamHa
 
 // handleStreamData decodes one sdata frame into a recycled batch and
 // hands it to the shared ingest queue tagged with its stream ref. Like
-// the single-tree data path it is one-way; unlike it there is no
+// the default stream's data path it is one-way; unlike it there is no
 // sequence check — streams interleave on a connection, so ordering is
 // per stream (guaranteed by connection FIFO plus the single ingest
 // worker), not per connection.
@@ -129,7 +142,6 @@ func (s *Server) handleStreamData(bc *binConn, payload []byte) error {
 		return err
 	}
 	b.ref = h.ref
-	b.named = true
 	s.ingest.offer(b, s.Policy)
 	return nil
 }
@@ -184,11 +196,6 @@ func (s *Server) handleStreamFold(bc *binConn, payload []byte) error {
 		s.binError(bc, err)
 		return nil
 	}
-	mon := s.Monitor()
-	if mon == nil {
-		s.binError(bc, errNoMonitor)
-		return nil
-	}
 	names, sent := make([]string, n), make([]int64, n)
 	for i := range names {
 		var name []byte
@@ -196,7 +203,7 @@ func (s *Server) handleStreamFold(bc *binConn, payload []byte) error {
 		names[i] = string(name)
 	}
 	refused := make([]error, n)
-	sum, err := mon.FoldSummary(names, sent, o, refused)
+	sum, err := s.monitor.FoldSummary(names, sent, o, refused)
 	if err != nil {
 		s.binError(bc, err)
 		return nil

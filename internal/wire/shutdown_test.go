@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/streamsum/swat/internal/core"
 	"github.com/streamsum/swat/internal/durable"
+	"github.com/streamsum/swat/internal/multi"
 	"github.com/streamsum/swat/internal/query"
 )
 
@@ -85,96 +89,87 @@ func TestCloseWithIdleClientDoesNotHang(t *testing.T) {
 	}
 }
 
-// TestServerWithStore runs the full durable loop over the wire: feed
-// through data frames, shut down, and verify a rebuilt server over the
-// same directory resumes at the same arrival count and tree state.
-func TestServerWithStore(t *testing.T) {
+// TestDataDirCoversEveryStream runs the durable loop over the wire: a
+// server over a DataDir monitor takes data frames for the default
+// stream and sdata frames for three named streams, shuts down, and a
+// server rebuilt over the same directory serves every stream
+// byte-identical to an in-memory twin fed the same values.
+func TestDataDirCoversEveryStream(t *testing.T) {
 	dir := t.TempDir()
+	opts := multi.Options{WindowSize: 16, Coefficients: 2, DataDir: dir, Durable: durable.Options{CheckpointEvery: 20}}
 	geom := core.Options{WindowSize: 16, Coefficients: 2}
+	sent := map[string][]float64{"": nil, "alpha": nil, "beta": nil, "gamma/δ": nil}
+	i := 0
+	for name := range sent {
+		for v := 0; v < 30+7*i; v++ {
+			sent[name] = append(sent[name], float64(v*(i+1)%23))
+		}
+		i++
+	}
 
-	srv, err := NewServer(geom)
+	mon, err := multi.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Logf = t.Logf
-	st, err := durable.Open(dir, srv.Tree(), durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.UseStore(st); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve() }()
-
-	c, err := DialBinary(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		if err := c.FeedBatch([]float64{float64(i)}); err != nil {
+	addr, _, down := startServerWithMonitor(t, opts, mon)
+	c := dialBinary(t, addr)
+	for name, vals := range sent {
+		if name == "" {
+			err = c.FeedBatch(vals)
+		} else {
+			err = c.FeedStream(name, vals)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitArrivals(t, c, 25)
-	c.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close server: %v", err)
+	if _, err := c.Ping(); err != nil {
+		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("serve: %v", err)
+	down() // drains the ingest queue into the monitor
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("close store: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "s-")); err != nil {
+		t.Fatalf("default stream store missing: %v", err)
 	}
 
-	// Rebuild over the same directory: the tree comes back.
-	srv2, err := NewServer(geom)
+	mon2, err := multi.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := durable.Open(dir, srv2.Tree(), durable.Options{})
-	if err != nil {
-		t.Fatal(err)
+	defer mon2.Close()
+	addr2, srv2, down2 := startServerWithMonitor(t, opts, mon2) // recovers the default stream
+	defer down2()
+	for name := range sent {
+		if name != "" {
+			if err := mon2.Add(name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	defer st2.Close()
-	if err := srv2.UseStore(st2); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv2.Tree().Arrivals(); got != 25 {
-		t.Fatalf("recovered %d arrivals, want 25 (recovery: %s)", got, st2.Recovery())
+	c2 := dialBinary(t, addr2)
+	for name, vals := range sent {
+		twin, err := core.New(geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.UpdateBatch(vals)
+		var sum *core.Summary
+		if name == "" {
+			sum, err = c2.FetchSummary()
+		} else {
+			sum, err = c2.FetchStreamSummary(name)
+		}
+		if err != nil {
+			t.Fatalf("summary %q: %v", name, err)
+		}
+		if !bytes.Equal(encodedSummary(t, sum), twin.AppendSummary(nil)) {
+			t.Errorf("stream %q recovered differently from its in-memory twin", name)
+		}
 	}
 	if err := srv2.Feed(99); err != nil {
 		t.Fatalf("feed after recovery: %v", err)
 	}
-	if got := srv2.Tree().Arrivals(); got != 26 {
-		t.Fatalf("arrivals after post-recovery feed = %d, want 26", got)
-	}
-}
-
-// TestUseStoreValidation pins the wiring mistakes UseStore rejects.
-func TestUseStoreValidation(t *testing.T) {
-	srv, err := NewServer(core.Options{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.UseStore(nil); err == nil {
-		t.Error("nil store accepted")
-	}
-	other, err := core.New(core.Options{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := durable.Open(t.TempDir(), other, durable.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := srv.UseStore(st); err == nil {
-		t.Error("store over a foreign tree accepted")
-	}
+	waitArrivals(t, c2, int64(len(sent[""])+1))
 }

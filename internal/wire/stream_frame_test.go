@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -302,8 +303,9 @@ func TestStreamIngestAndQuery(t *testing.T) {
 }
 
 // TestStreamQueryErrors pins the soft-error paths: querying an
-// unregistered stream or a server without a monitor returns a
-// RemoteError on that request while the connection keeps serving.
+// unregistered stream, on a caller's monitor or on the one NewServer
+// built, returns a RemoteError on that request while the connection
+// keeps serving.
 func TestStreamQueryErrors(t *testing.T) {
 	addr, _, shutdown := startStreamServer(t, multi.Options{WindowSize: 16})
 	defer shutdown()
@@ -326,7 +328,8 @@ func TestStreamQueryErrors(t *testing.T) {
 		t.Fatalf("ping after soft errors: %v", err)
 	}
 
-	// A plain server (no monitor) refuses stream frames softly too.
+	// A server on the monitor NewServer built refuses unknown streams
+	// softly too.
 	plainAddr, _, plainDown := startServer(t, core.Options{WindowSize: 16})
 	defer plainDown()
 	pc, err := DialBinary(plainAddr)
@@ -336,10 +339,69 @@ func TestStreamQueryErrors(t *testing.T) {
 	defer pc.Close()
 	_, _, _, nmErr := pc.StreamPoint("any", 0)
 	if !errors.As(nmErr, &re) {
-		t.Fatalf("no-monitor point error = %v, want RemoteError", nmErr)
+		t.Fatalf("plain-server point error = %v, want RemoteError", nmErr)
 	}
 	if !strings.Contains(nmErr.Error(), "stream") {
-		t.Errorf("no-monitor error %q does not mention streams", nmErr)
+		t.Errorf("plain-server error %q does not mention streams", nmErr)
+	}
+}
+
+// TestDefaultStreamIsolated pins that no stream frame reaches the
+// default stream: sdata, spoint, sfold and ssum naming "" are malformed
+// (fatal to the connection) and leave the default stream untouched,
+// while the unnamed data frames keep their sequence check.
+func TestDefaultStreamIsolated(t *testing.T) {
+	dispatching := func(t *testing.T) *Server {
+		srv, err := NewServer(core.Options{WindowSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Logf = t.Logf
+		srv.lnMu.Lock()
+		srv.startIngestLocked()
+		srv.lnMu.Unlock()
+		return srv
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"sdata", appendStreamDataFrame(nil, "", 0, []float64{1, 2})},
+		{"spoint", appendStreamPointsFrame(nil, 0, 0, []string{""})},
+		{"sfold", appendStreamFoldFrame(nil, 0, core.MergeOptions{ValueHi: 100}, []string{""}, []int64{20})},
+		{"ssum", appendStreamSumFrame(nil, "", 0)},
+	} {
+		srv := dispatching(t)
+		for i := 0; i < 20; i++ {
+			srv.Feed(float64(i))
+		}
+		before := srv.def.tree.AppendSummary(nil)
+		err := srv.dispatchBinary(&binConn{conn: nopConn{}}, tc.frame[codec.HeaderLen:])
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err == nil {
+			t.Errorf("%s naming the default stream was not refused as malformed", tc.name)
+		}
+		if !bytes.Equal(srv.def.tree.AppendSummary(nil), before) {
+			t.Errorf("%s naming the default stream changed it", tc.name)
+		}
+		if got := srv.Monitor().Streams(); len(got) != 1 || got[0] != "" {
+			t.Errorf("%s naming the default stream left streams %q, want only the default", tc.name, got)
+		}
+	}
+
+	srv := dispatching(t)
+	defer srv.Close()
+	bc := &binConn{conn: nopConn{}}
+	for _, step := range []struct {
+		first uint64
+		want  error
+	}{{0, nil}, {4, nil}, {9, errBatchSequence}} {
+		frame := appendDataFrame(nil, step.first, []float64{1, 2, 3, 4})
+		if err := srv.dispatchBinary(bc, frame[codec.HeaderLen:]); !errors.Is(err, step.want) {
+			t.Errorf("data frame at %d: err = %v, want %v", step.first, err, step.want)
+		}
 	}
 }
 

@@ -31,10 +31,7 @@ import (
 // an amplification vector.
 const maxStreamName = 256
 
-var (
-	errStreamName = errors.New("wire: stream name empty or over the length limit")
-	errNoMonitor  = errors.New("wire: server has no stream monitor (stream frames need Server.UseMonitor)")
-)
+var errStreamName = errors.New("wire: stream name empty or over the length limit")
 
 // streamBatchLimit is the largest number of float64s one sdata frame
 // can carry for a name of the given length under MaxFrame (type byte,

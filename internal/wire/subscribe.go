@@ -14,7 +14,7 @@ import (
 
 // Standing-query support over the wire: a client sends a subscribe
 // frame and then receives asynchronous notify frames whenever the
-// server's tree advances and the query's value changes by at least the
+// server's default stream advances and the query's value changes by at least the
 // subscription's minChange. This is the continuous-query mode of the
 // paper ("we can extend our algorithms to continuous queries", §2.1)
 // exposed over a real network, on frames subscribe, subscribed and
@@ -75,16 +75,16 @@ func (s *Server) subscriberList() []*subscriber {
 	return out
 }
 
-// notifySubscribers evaluates all standing queries against the current
-// tree and pushes notify frames for those whose value moved. Called
+// notifySubscribers evaluates all standing queries against the default
+// stream's current tree and pushes notify frames for those whose value moved. Called
 // with s.mu held right after a data update.
 func (s *Server) notifySubscribers() {
-	arrivals := s.tree.Arrivals()
+	arrivals := s.def.tree.Arrivals()
 	for _, sub := range s.subscriberList() {
 		sub.mu.Lock()
 		sub.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
 		for id, ws := range sub.subs {
-			v, err := s.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
+			v, err := s.def.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
 			if err != nil {
 				continue // not answerable yet
 			}
@@ -115,9 +115,9 @@ func (s *Server) flushSubscribers(deadline time.Time) []error {
 		s.mu.Lock()
 		sub.mu.Lock()
 		if err := sub.conn.SetWriteDeadline(deadline); err == nil {
-			arrivals := s.tree.Arrivals()
+			arrivals := s.def.tree.Arrivals()
 			for id, ws := range sub.subs {
-				v, err := s.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
+				v, err := s.def.tree.InnerProduct(ws.q.Ages, ws.q.Weights)
 				if err != nil || (ws.fired && v == ws.last) {
 					continue // never answerable, or the subscriber already has it
 				}
@@ -191,7 +191,8 @@ type Notification struct {
 	ID int
 	// Value is the query's current value.
 	Value float64
-	// Arrivals is the server tree's arrival counter at evaluation time.
+	// Arrivals is the default stream's arrival counter at evaluation
+	// time.
 	Arrivals int64
 }
 

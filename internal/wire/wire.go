@@ -1,7 +1,9 @@
-// Package wire provides a small TCP protocol for serving a SWAT summary
-// over a real network: a server owns a SWAT tree fed by data frames and
-// answers point, range, and inner-product queries and standing-query
-// subscriptions from any number of concurrent clients. Every connection
+// Package wire provides a small TCP protocol for serving SWAT summaries
+// over a real network: a server keeps one SWAT tree per stream in a
+// multi.Monitor — a default stream fed by data frames plus any number of
+// named streams — and answers point, range, and inner-product queries
+// and standing-query subscriptions from any number of concurrent
+// clients. Every connection
 // speaks one binary protocol: CRC32C codec-framed batches of raw
 // float64s with reused buffers and explicit backpressure (BinClient;
 // negotiation and the frame table are in binary.go).

@@ -275,7 +275,7 @@ func TestValueZeroAndAgeZeroEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.Tree().PointQuery(0)
+	want, err := srv.def.tree.PointQuery(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +296,40 @@ func TestServeBeforeListen(t *testing.T) {
 	}
 	if err := srv.Serve(); err == nil {
 		t.Error("Serve before Listen succeeded")
+	}
+}
+
+// TestNewServerGeometry pins that the default stream of the monitor
+// NewServer builds has exactly core.New's geometry — core defaults k to
+// 1 where multi defaults it to 4 — in what the server reports and
+// ships.
+func TestNewServerGeometry(t *testing.T) {
+	opts := core.Options{WindowSize: 16}
+	addr, _, shutdown := startServer(t, opts)
+	defer shutdown()
+	c := dialBinary(t, addr)
+	twin, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, 40)
+	for i := range vals {
+		vals[i] = float64(i % 7)
+	}
+	twin.UpdateBatch(vals)
+	if err := c.FeedBatch(vals); err != nil {
+		t.Fatal(err)
+	}
+	st := waitArrivals(t, c, int64(len(vals)))
+	if st.Nodes != twin.NumNodes() || st.Window != twin.WindowSize() {
+		t.Errorf("stats report %d nodes over N=%d, core.New gives %d over N=%d", st.Nodes, st.Window, twin.NumNodes(), twin.WindowSize())
+	}
+	sum, err := c.FetchSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Coefficients != twin.Coefficients() || !bytes.Equal(encodedSummary(t, sum), twin.AppendSummary(nil)) {
+		t.Errorf("summary has k=%d and differs from core.New's twin (k=%d)", sum.Coefficients, twin.Coefficients())
 	}
 }
 

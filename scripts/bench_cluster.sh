@@ -4,7 +4,7 @@
 #   scripts/bench_cluster.sh [duration]   full run; writes BENCH_cluster.{txt,json}
 #   scripts/bench_cluster.sh smoke        1-node tripwire, ~2s, no artifacts
 #
-# Each fleet is n `swatd -streams` processes on loopback plus one
+# Each fleet is n `swatd` processes on loopback plus one
 # `swatload -cluster` driver. All processes time-share the same host
 # ("simulated nodes"), so the *wall-clock* rate cannot exceed one
 # machine's throughput no matter the fleet size. Aggregate fleet
@@ -51,13 +51,13 @@ trap cleanup EXIT
 go build -o "$WORK/swatd" ./cmd/swatd
 go build -o "$WORK/swatload" ./cmd/swatload
 
-# start_fleet <n>: launches n stream-mode nodes, waits for each port.
+# start_fleet <n>: launches n nodes, waits for each port.
 start_fleet() {
     local n="$1" port
     PIDS=()
     for i in $(seq 0 $((n - 1))); do
         port=$((BASE_PORT + i))
-        "$WORK/swatd" -addr "127.0.0.1:$port" -window "$WINDOW" -streams \
+        "$WORK/swatd" -addr "127.0.0.1:$port" -window "$WINDOW" \
             >"$WORK/swatd-$n-$i.log" 2>&1 &
         PIDS+=($!)
     done
