@@ -101,9 +101,12 @@ type Client struct {
 	sent  map[string]int64
 
 	// migMu serializes Rebalance calls; progress under it is published
-	// through mig for Stats.
-	migMu sync.Mutex
-	mig   atomic.Pointer[migProgress]
+	// through mig for Stats. resumePushes, under migMu, is set while the
+	// last Rebalance failed mid-handoff: the next one probes every new
+	// owner's resume token before pushing.
+	migMu        sync.Mutex
+	mig          atomic.Pointer[migProgress]
+	resumePushes bool
 }
 
 // New validates the config and builds the ring and pools. No

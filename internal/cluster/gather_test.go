@@ -25,10 +25,13 @@ import (
 // frames: it counts request frames (each connection's hello excluded)
 // and, once dropping, reads the next request and closes the connection
 // without forwarding it — a node that took the request and died.
+// filter, when set, sees every request body before it is counted;
+// returning false drops that request the same way.
 type frameProxy struct {
 	addr     string
 	requests atomic.Int64
 	drop     atomic.Bool
+	filter   atomic.Pointer[func(body []byte) bool]
 
 	wg    sync.WaitGroup
 	mu    sync.Mutex
@@ -108,6 +111,9 @@ func (p *frameProxy) pump(down, up net.Conn) {
 		}
 		if !hello {
 			if p.drop.Load() {
+				return
+			}
+			if f := p.filter.Load(); f != nil && !(*f)(frame[codec.HeaderLen:]) {
 				return
 			}
 			p.requests.Add(1)

@@ -6,8 +6,11 @@ package cluster
 // so the protocol stays two-party and every failure mode is a failure
 // of one connection the driver already knows how to retry.
 //
-// The state machine per moved stream is drain → export → install →
-// commit; only after every move committed does the epoch flip, in two
+// Every stream that changes owner between one (from, to) node pair
+// moves in one bundle: the set's summaries under a name index, one
+// transfer with one identity (core/transfer.go). The state machine is
+// drain, then per node pair, in sorted order, export → install →
+// commit; only after every pair committed does the epoch flip, in two
 // steps: fence every node in the union of the old and new memberships
 // forward to the new epoch (so old owners refuse stale writers even if
 // they never see new-epoch traffic), then swap the client's placement
@@ -15,14 +18,15 @@ package cluster
 // before the flip aborts with the old ring still fully authoritative:
 // summaries already installed on new owners are inert (no reads or
 // writes route to them under the old ring) and are either reused by a
-// retried migration (the commit is idempotent under the transfer's
+// retried migration (the commit is idempotent under the bundle's
 // identity) or left to be garbage.
 //
-// Transfers are chunked, checksummed, and resumable end to end: a cut
+// Bundles are chunked, checksummed, and resumable end to end: a cut
 // during export resumes from the assembly's contiguous prefix under a
 // CRC fence, a cut during install probes the new owner's resume token
 // before writing, so completed chunks are never re-sent in either
-// direction (see core/transfer.go and wire/migrate.go).
+// direction (see core/transfer.go and wire/migrate.go). A pair costs
+// O(chunks) round trips however many streams it carries.
 //
 // Values raced into an old owner between its export and its fence are
 // not transferred; they remain counted in this client's sent registry,
@@ -53,17 +57,17 @@ const (
 // RebalanceOptions tunes one Rebalance call.
 type RebalanceOptions struct {
 	// Timeout caps each per-node operation — the drain ping, one
-	// stream's export or install (dial, backoff, and every chunk round
+	// bundle's export or install (dial, backoff, and every chunk round
 	// trip included), and each fence — so a dead node fails the
 	// migration fast instead of parking in the pools' full retry
 	// schedule. Default: the client's configured Timeout.
 	Timeout time.Duration
-	// AllowCold lets the migration proceed when a moved stream's old
-	// owner cannot export (crashed, unreachable, or restarted without
-	// the stream): the stream starts cold on its new owner and the
-	// client's sent registry keeps roll-up bounds honest about the
-	// missing history. Without it any export failure aborts the
-	// migration with the old ring intact.
+	// AllowCold lets the migration proceed when an old owner cannot
+	// export (crashed, unreachable, or restarted without a stream):
+	// every stream of that node pair's bundle starts cold on its new
+	// owner and the client's sent registry keeps roll-up bounds honest
+	// about the missing history. Without it any export failure aborts
+	// the migration with the old ring intact.
 	AllowCold bool
 	// ChunkBytes bounds each transfer chunk (default 64KiB, clamped to
 	// 256KiB so a chunk frame never approaches the wire's frame cap).
@@ -74,9 +78,11 @@ type RebalanceOptions struct {
 type Move struct {
 	Stream   string
 	From, To string
-	// Bytes is the summary encoding's size; Chunks counts the chunk
-	// round trips the export took (more than ⌈Bytes/chunk⌉ means the
-	// transfer was cut and resumed).
+	// Bytes is the stream's own summary encoding's size. Chunks counts
+	// the export round trips of the stream's node pair, on the pair's
+	// first move only (zero on the rest), so summing Chunks over moves
+	// counts every export round trip; a pair taking more than
+	// ⌈bundle bytes/chunk⌉ was cut and resumed.
 	Bytes  int64
 	Chunks int
 	// Cold marks a stream whose old owner could not export
@@ -113,8 +119,9 @@ type Stats struct {
 	// fields then describe it.
 	Migrating          bool
 	FromEpoch, ToEpoch uint64
-	// MovedStreams of TotalMoves streams have been handed off so far;
-	// CurrentStream is the one in flight.
+	// MovedStreams of TotalMoves streams have been handed off so far,
+	// advancing by a bundle's size at its commit; CurrentStream is the
+	// first stream of the bundle in flight.
 	MovedStreams, TotalMoves int
 	CurrentStream            string
 	// Pools is the per-node connection churn, sorted by address.
@@ -156,8 +163,8 @@ func chunkBytes(opts RebalanceOptions) int {
 }
 
 // Rebalance moves the client from its current ring to newRing: drain,
-// per-moved-stream summary handoff, epoch fence broadcast, placement
-// flip, in that order. newRing must extend the current ring's lineage —
+// one summary bundle per (old owner, new owner) pair, epoch fence
+// broadcast, placement flip, in that order. newRing must extend the current ring's lineage —
 // same seed and vnodes, strictly newer epoch (derive it with
 // Ring.WithNode / Ring.WithoutNode). On error nothing has flipped and
 // the old ring remains fully authoritative. Rebalance serializes with
@@ -228,14 +235,32 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 	}
 
 	report := &MigrationReport{FromEpoch: old.Epoch(), ToEpoch: newRing.Epoch()}
-	for i := range moves {
-		mv := &moves[i]
-		progress(i, mv.Stream)
-		if err := c.moveStream(p, newNodes, mv, newRing.Epoch(), opts); err != nil {
-			return abort(err)
+	moved := 0
+	for _, pair := range pairsOf(moves) {
+		first := pair[0]
+		names := make([]string, len(pair))
+		for i, mv := range pair {
+			names[i] = mv.Stream
+		}
+		for len(pair) > 0 {
+			k, err := core.BundleFit(c.opts, names)
+			if err != nil {
+				return abort(err)
+			}
+			k = min(k, wire.MigReadFit(names))
+			progress(moved, names[0])
+			chunks, err := c.moveBundle(p, newNodes, pair[:k], names[:k], newRing.Epoch(), opts)
+			first.Chunks += chunks
+			if err != nil {
+				c.resumePushes = true
+				return abort(err)
+			}
+			moved += k
+			pair, names = pair[k:], names[k:]
 		}
 	}
-	progress(len(moves), "")
+	c.resumePushes = false // every bundle committed
+	progress(moved, "")
 	report.Moves = moves
 
 	// Cutover, step one: fence every member of either ring forward.
@@ -295,21 +320,47 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 	return report, nil
 }
 
-// moveStream hands one stream off: pull the old owner's summary chunk
-// by chunk into a checksummed assembly, push it to the new owner under
-// its resume token, commit. Both legs run under the per-op budget with
-// pool dial time context-capped, and both resume across transport cuts
-// without re-sending completed chunks.
-func (c *Client) moveStream(p *placement, newNodes map[string]*node, mv *Move, toEpoch uint64, opts RebalanceOptions) error {
+// pairsOf groups moves by (From, To): pairs in sorted order, each
+// pair's moves in stream order (moves is sorted by stream).
+func pairsOf(moves []Move) [][]*Move {
+	var out [][]*Move
+	at := make(map[[2]string]int)
+	for i := range moves {
+		mv := &moves[i]
+		k := [2]string{mv.From, mv.To}
+		j, ok := at[k]
+		if !ok {
+			j = len(out)
+			at[k] = j
+			out = append(out, nil)
+		}
+		out[j] = append(out[j], mv)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		x, y := out[a][0], out[b][0]
+		return x.From < y.From || (x.From == y.From && x.To < y.To)
+	})
+	return out
+}
+
+// moveBundle hands one node pair's streams (names[i] is mvs[i]'s) off
+// as one bundle: pull the old owner's export of the set chunk by chunk
+// into a checksummed assembly, push it to the new owner, commit. Both
+// legs run under the per-op budget with pool dial time context-capped,
+// and both resume across transport cuts without re-sending completed
+// chunks. It returns the export's chunk round trips.
+func (c *Client) moveBundle(p *placement, newNodes map[string]*node, mvs []*Move, names []string, toEpoch uint64, opts RebalanceOptions) (int, error) {
 	budget := c.rebalanceTimeout(opts)
 	chunk := chunkBytes(opts)
-	src, dst := p.nodes[mv.From], newNodes[mv.To]
+	from, to := mvs[0].From, mvs[0].To
+	src, dst := p.nodes[from], newNodes[to]
 
 	// Pull. The assembly outlives pool retries: a fresh connection
 	// resumes at Have, fenced by the CRC — if the source's snapshot
 	// changed it restarts the reply at offset zero with its new
 	// identity and the assembly is reopened to match.
 	var asm *core.SummaryAssembly
+	chunks := 0
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	err := src.pool.DoCtx(ctx, func(bc *wire.BinClient) error {
 		bc.SetDeadline(deadline(budget))
@@ -320,22 +371,22 @@ func (c *Client) moveStream(p *placement, newNodes map[string]*node, mv *Move, t
 			if asm != nil {
 				off, crc = asm.Have(), asm.CRC()
 			}
-			ch, err := bc.MigRead(mv.Stream, off, crc, chunk)
+			ch, err := bc.MigReadSet(names, off, crc, chunk)
 			if err != nil {
 				return err
 			}
 			if asm == nil || !asm.Matches(ch.Total, ch.CRC) {
 				if ch.Offset != 0 {
-					return fmt.Errorf("cluster: %s: export of %q switched identity at offset %d", mv.From, mv.Stream, ch.Offset)
+					return fmt.Errorf("cluster: %s: export switched identity at offset %d", from, ch.Offset)
 				}
 				if asm, err = core.NewSummaryAssembly(ch.Total, ch.CRC); err != nil {
-					return fmt.Errorf("cluster: %s: export of %q: %w", mv.From, mv.Stream, err)
+					return fmt.Errorf("cluster: %s: export: %w", from, err)
 				}
 			}
 			if err := asm.Append(ch.Offset, ch.Data); err != nil {
-				return fmt.Errorf("cluster: %s: export of %q: %w", mv.From, mv.Stream, err)
+				return fmt.Errorf("cluster: %s: export: %w", from, err)
 			}
-			mv.Chunks++
+			chunks++
 			if asm.Complete() {
 				return nil
 			}
@@ -344,53 +395,75 @@ func (c *Client) moveStream(p *placement, newNodes map[string]*node, mv *Move, t
 	cancel()
 	if err != nil {
 		if opts.AllowCold {
-			mv.Cold = true
-			return nil
+			for _, mv := range mvs {
+				mv.Cold = true
+			}
+			return chunks, nil
 		}
-		return fmt.Errorf("cluster: export %q from %s: %w", mv.Stream, mv.From, err)
+		return chunks, fmt.Errorf("cluster: export %d streams from %s: %w", len(mvs), from, err)
 	}
 	xfer, err := asm.Transfer()
 	if err != nil {
-		return fmt.Errorf("cluster: export %q from %s: %w", mv.Stream, mv.From, err)
+		return chunks, fmt.Errorf("cluster: export from %s: %w", from, err)
 	}
-	mv.Bytes = xfer.Len()
+	entries, err := xfer.Entries()
+	if err != nil {
+		return chunks, fmt.Errorf("cluster: export from %s: %w", from, err)
+	}
+	if len(entries) != len(mvs) {
+		return chunks, fmt.Errorf("cluster: %s exported %d streams for %d names", from, len(entries), len(mvs))
+	}
+	for i, e := range entries {
+		if e.Name != names[i] {
+			return chunks, fmt.Errorf("cluster: %s exported %q for %q", from, e.Name, names[i])
+		}
+		mvs[i].Bytes = int64(len(e.Summary))
+	}
 
-	// Push, then commit, on the new owner. The opening empty write is a
-	// probe-with-identity: its reply's Have is the server's resume
-	// token, so a push resumed after a cut (or a whole retried
-	// migration) starts exactly where the server left off and never
+	// Push, then commit, on the new owner, under the source's address
+	// as the bundle key: the new owner remembers one transfer per
+	// source. A fresh push starts at offset zero, which the new owner
+	// takes as an idempotent duplicate if it already holds those bytes.
+	// After a cut — a retried attempt here, or any push of a Rebalance
+	// retried after one that failed mid-handoff — an opening empty write
+	// probes the new owner's resume token first, so the push never
 	// re-sends an applied byte. The commit carries the migration's
 	// target epoch; a server already past it refuses, which keeps a
 	// stalled driver's late installs out of post-cutover state.
+	probe := c.resumePushes
+	total, crc := xfer.Len(), xfer.CRC()
 	ctx, cancel = context.WithTimeout(context.Background(), budget)
 	err = dst.pool.DoCtx(ctx, func(bc *wire.BinClient) error {
 		bc.SetDeadline(deadline(budget))
 		defer bc.SetDeadline(time.Time{})
-		total, crc := xfer.Len(), xfer.CRC()
-		st, err := bc.MigWrite(mv.Stream, 0, total, crc, nil)
-		if err != nil {
-			return err
+		var st wire.MigState
+		var err error
+		if probe {
+			if st, err = bc.MigWrite(from, 0, total, crc, nil); err != nil {
+				return err
+			}
 		}
+		probe = true
 		for !st.Committed && st.Have < total {
 			data, err := xfer.Chunk(st.Have, chunk)
 			if err != nil {
 				return err
 			}
-			if st, err = bc.MigWrite(mv.Stream, st.Have, total, crc, data); err != nil {
+			if st, err = bc.MigWrite(from, st.Have, total, crc, data); err != nil {
 				return err
 			}
 		}
-		if st, err = bc.MigCommit(mv.Stream, total, crc, toEpoch); err != nil {
+		if st, err = bc.MigCommit(from, total, crc, toEpoch); err != nil {
 			return err
 		}
 		if !st.Committed {
-			return fmt.Errorf("cluster: %s: commit of %q not acknowledged", mv.To, mv.Stream)
+			return fmt.Errorf("cluster: %s: commit of the bundle from %s not acknowledged", to, from)
 		}
 		return nil
 	})
 	cancel()
 	if err != nil {
-		return fmt.Errorf("cluster: install %q on %s: %w", mv.Stream, mv.To, err)
+		return chunks, fmt.Errorf("cluster: install %d streams from %s on %s: %w", len(mvs), from, to, err)
 	}
-	return nil
+	return chunks, nil
 }

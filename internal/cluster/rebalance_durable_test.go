@@ -45,8 +45,8 @@ func TestRebalanceOntoDurableNodeUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The wire cell: a complete transfer of a warm summary, committed
-	// over a stream the durable node already holds.
+	// The wire cell: a complete transfer of a bundle of one — a warm
+	// summary named for a stream the durable node already holds.
 	const resident = "resident"
 	if err := durableNode.mon.Add(resident); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,10 @@ func TestRebalanceOntoDurableNodeUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xfer := core.NewSummaryTransfer(srcTree)
+	xfer, err := core.NewBundleTransfer([]string{resident}, []*core.Tree{srcTree})
+	if err != nil {
+		t.Fatal(err)
+	}
 	chunk, err := xfer.Chunk(0, int(xfer.Len()))
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,14 @@
 package core
 
 // Chunked, resumable summary transfer: the core half of live summary
-// handoff between nodes (see internal/cluster.Rebalance). A transfer
-// snapshots one tree's canonical summary encoding and serves it in
-// arbitrary-sized chunks; an assembly accumulates chunks strictly in
-// order on the receiving side and decodes once complete.
+// handoff between nodes (see internal/cluster.Rebalance). What moves is
+// a bundle — the canonical summary encodings of a set of streams under
+// a name index (a single stream is a bundle of one). A transfer
+// snapshots one bundle and serves it in arbitrary-sized chunks; an
+// assembly accumulates chunks strictly in order on the receiving side.
 //
 // The resume token is the assembly's contiguous byte count (Have), and
-// the CRC32C of the whole encoding is the resume fence: a transfer may
+// the CRC32C of the whole bundle is the resume fence: a transfer may
 // only resume into an assembly opened for the same (total, crc) pair.
 // If the source re-snapshots and the bytes changed, the CRC changes,
 // the fence trips, and the receiver restarts from zero instead of
@@ -16,20 +17,40 @@ package core
 // lengths mean the byte ranges already applied are identical to the
 // ones a fresh transfer would carry, so resuming never re-sends — and
 // never needs to re-send — completed chunks.
+//
+// # Bundle encoding
+//
+//	"SWBN" | u32 n | n × (u16 nameLen | name | u32 sumLen) |
+//	n summaries (AppendSummary encodings), in index order
+//
+// Names are non-empty and distinct, n is at least one, and the
+// summary lengths tile the bytes after the index exactly. The bundle
+// carries no checksum of its own: the transfer's CRC covers it whole,
+// and each summary is a codec frame that checks itself on decode.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/streamsum/swat/internal/codec"
 )
 
-// MaxTransferSize bounds the summary encoding one assembly will agree
-// to accumulate. A summary's size is proportional to the tree geometry
-// (ring + coefficient planes), far below this; the cap exists so a
-// hostile or corrupt header can't make the receiver pre-commit an
-// unbounded buffer.
+// MaxTransferSize bounds the bundle one transfer carries and one
+// assembly will agree to accumulate. A summary's size is proportional
+// to the tree geometry (ring + coefficient planes); callers size their
+// bundles under this cap, which exists so a hostile or corrupt header
+// can't make the receiver pre-commit an unbounded buffer.
 const MaxTransferSize = 64 << 20
+
+const (
+	bundleMagic = "SWBN"
+	// bundleHdr is the magic and the entry count; bundleSlot is one
+	// index entry's fixed part (name length and summary length).
+	bundleHdr  = len(bundleMagic) + 4
+	bundleSlot = 2 + 4
+)
 
 var (
 	// ErrTransferFence reports a resume attempt whose (total, crc)
@@ -41,24 +62,157 @@ var (
 	ErrTransferGap = errors.New("core: transfer chunk past contiguous prefix")
 )
 
-// SummaryTransfer is an immutable snapshot of one tree's canonical
-// summary encoding, ready to serve in chunks. Safe for concurrent use.
+// SummaryTransfer is an immutable snapshot of one bundle, ready to
+// serve in chunks. Safe for concurrent use.
 type SummaryTransfer struct {
 	data []byte
 	crc  uint32
 }
 
-// NewSummaryTransfer snapshots the tree's summary encoding.
-func NewSummaryTransfer(t *Tree) *SummaryTransfer {
-	data := t.AppendSummary(nil)
-	return &SummaryTransfer{data: data, crc: codec.Checksum(data)}
+// BundleEntry is one stream's slot in a bundle.
+type BundleEntry struct {
+	Name string
+	// Summary is the stream's canonical encoding (DecodeSummary
+	// input); it aliases the bundle.
+	Summary []byte
 }
 
-// TransferFromBytes wraps an already-encoded summary (as produced by
-// AppendSummary) without re-encoding. The bytes are retained.
-func TransferFromBytes(data []byte) *SummaryTransfer {
-	return &SummaryTransfer{data: data, crc: codec.Checksum(data)}
+// NewBundleTransfer snapshots the named trees' summaries, names[i]
+// being trees[i]'s, as one bundle. Each tree is encoded under its own
+// read lock; the set is not one atomic cut across trees. Names must be
+// non-empty, at most 65535 bytes and distinct, and the bundle must fit
+// MaxTransferSize.
+func NewBundleTransfer(names []string, trees []*Tree) (*SummaryTransfer, error) {
+	if len(names) != len(trees) {
+		return nil, fmt.Errorf("core: bundle of %d names and %d trees", len(names), len(trees))
+	}
+	return newBundle(names, func(dst []byte, i int) []byte { return trees[i].AppendSummary(dst) })
 }
+
+// newBundle encodes a bundle whose i-th summary appendSum appends.
+func newBundle(names []string, appendSum func(dst []byte, i int) []byte) (*SummaryTransfer, error) {
+	if len(names) == 0 {
+		return nil, errors.New("core: empty bundle")
+	}
+	seen := make(map[string]struct{}, len(names))
+	size := bundleHdr
+	for _, name := range names {
+		if len(name) == 0 || len(name) > 0xFFFF {
+			return nil, fmt.Errorf("core: bundle name of %d bytes", len(name))
+		}
+		if _, dup := seen[name]; dup {
+			return nil, fmt.Errorf("core: bundle names %q twice", name)
+		}
+		seen[name] = struct{}{}
+		size += bundleSlot + len(name)
+	}
+	if size > MaxTransferSize {
+		return nil, fmt.Errorf("core: bundle index of %d bytes exceeds %d", size, MaxTransferSize)
+	}
+	data := make([]byte, bundleHdr, size)
+	copy(data, bundleMagic)
+	binary.BigEndian.PutUint32(data[len(bundleMagic):], uint32(len(names)))
+	for _, name := range names {
+		data = binary.BigEndian.AppendUint16(data, uint16(len(name)))
+		data = append(data, name...)
+		data = append(data, 0, 0, 0, 0) // summary length, patched below
+	}
+	slot := bundleHdr
+	for i, name := range names {
+		start := len(data)
+		data = appendSum(data, i)
+		n := len(data) - start
+		if len(data) > MaxTransferSize {
+			return nil, fmt.Errorf("core: bundle of %d streams exceeds %d bytes", len(names), MaxTransferSize)
+		}
+		slot += 2 + len(name)
+		binary.BigEndian.PutUint32(data[slot:], uint32(n))
+		slot += 4
+		if i == 0 {
+			// Summaries of one fleet share a geometry: size the rest
+			// after the first.
+			data = slices.Grow(data, (len(names)-1)*n)
+		}
+	}
+	return &SummaryTransfer{data: data, crc: codec.Checksum(data)}, nil
+}
+
+// BundleFit returns how many of names, from the front, one bundle of
+// summaries of the given geometry carries under MaxTransferSize, sized
+// at the geometry's largest summary (MaxSummaryLen). It is at least one
+// whenever names is non-empty.
+func BundleFit(opts Options, names []string) (int, error) {
+	maxSum, err := MaxSummaryLen(opts)
+	if err != nil {
+		return 0, err
+	}
+	size := bundleHdr
+	for i, name := range names {
+		size += bundleSlot + len(name) + maxSum
+		if size > MaxTransferSize && i > 0 {
+			return i, nil
+		}
+	}
+	return len(names), nil
+}
+
+// parseBundle validates a bundle's index and returns its entries in
+// index order, each Summary aliasing data. The summaries themselves
+// are not decoded. The entry count is checked against the bytes that
+// could hold it before anything is allocated.
+func parseBundle(data []byte) ([]BundleEntry, error) {
+	if len(data) > MaxTransferSize {
+		return nil, fmt.Errorf("core: bundle of %d bytes exceeds %d", len(data), MaxTransferSize)
+	}
+	if len(data) < bundleHdr || string(data[:len(bundleMagic)]) != bundleMagic {
+		return nil, errors.New("core: not a summary bundle")
+	}
+	n := uint64(binary.BigEndian.Uint32(data[len(bundleMagic):]))
+	rest := data[bundleHdr:]
+	// Every entry costs an index slot, a name byte and a summary byte.
+	if n == 0 || n > uint64(len(rest))/(bundleSlot+2) {
+		return nil, fmt.Errorf("core: bundle of %d entries in %d bytes", n, len(data))
+	}
+	entries := make([]BundleEntry, n)
+	lens := make([]uint32, n)
+	seen := make(map[string]struct{}, n)
+	for i := range entries {
+		if len(rest) < 2 {
+			return nil, errors.New("core: bundle index truncated")
+		}
+		l := int(binary.BigEndian.Uint16(rest))
+		if l == 0 {
+			return nil, errors.New("core: bundle entry with an empty name")
+		}
+		if len(rest) < bundleSlot+l {
+			return nil, errors.New("core: bundle index truncated")
+		}
+		name := string(rest[2 : 2+l])
+		if _, dup := seen[name]; dup {
+			return nil, fmt.Errorf("core: bundle names %q twice", name)
+		}
+		seen[name] = struct{}{}
+		entries[i].Name = name
+		lens[i] = binary.BigEndian.Uint32(rest[2+l:])
+		rest = rest[bundleSlot+l:]
+	}
+	for i := range entries {
+		l := uint64(lens[i])
+		if l == 0 || l > uint64(len(rest)) {
+			return nil, fmt.Errorf("core: bundle entry %q of %d bytes overruns the bundle", entries[i].Name, l)
+		}
+		entries[i].Summary = rest[:l:l]
+		rest = rest[l:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: %d bytes trail the bundle's summaries", len(rest))
+	}
+	return entries, nil
+}
+
+// Entries validates the bundle's index and returns its entries in
+// index order; each Summary aliases the snapshot.
+func (tr *SummaryTransfer) Entries() ([]BundleEntry, error) { return parseBundle(tr.data) }
 
 // Len returns the total encoded size in bytes.
 func (tr *SummaryTransfer) Len() int64 { return int64(len(tr.data)) }
@@ -163,18 +317,6 @@ func (a *SummaryAssembly) Transfer() (*SummaryTransfer, error) {
 		return nil, fmt.Errorf("core: transfer checksum mismatch: got %#x want %#x", got, a.crc)
 	}
 	return &SummaryTransfer{data: a.buf, crc: a.crc}, nil
-}
-
-// Summary verifies the assembled bytes against the declared identity
-// and decodes them. Only valid once Complete.
-func (a *SummaryAssembly) Summary() (*Summary, error) {
-	if !a.Complete() {
-		return nil, fmt.Errorf("core: transfer incomplete: %d of %d bytes", len(a.buf), a.total)
-	}
-	if got := codec.Checksum(a.buf); got != a.crc {
-		return nil, fmt.Errorf("core: transfer checksum mismatch: got %#x want %#x", got, a.crc)
-	}
-	return DecodeSummary(a.buf)
 }
 
 // ResetToSummary replaces the tree's state with the state a summary

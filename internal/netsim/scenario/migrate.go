@@ -5,8 +5,9 @@ package scenario
 // network. The topology is a star: the root is the cluster client and
 // migration driver, children 1..Shards are the old fleet, and the last
 // child is the newcomer the reshard brings in. Placement uses the real
-// versioned ring; the handoff uses the real chunked-transfer algebra
-// (core.SummaryTransfer / core.SummaryAssembly); folds use the real
+// versioned ring; the handoff uses the real bundle codec and
+// chunked-transfer algebra (core.NewBundleTransfer /
+// core.SummaryTransfer / core.SummaryAssembly); folds use the real
 // merge/stand-in algebra. What the simulation replaces is only the
 // transport — transfer frames become netsim messages subject to
 // scripted crashes, cuts, and partitions — so the invariants pinned
@@ -17,11 +18,13 @@ package scenario
 //
 // The driver mirrors cluster.Rebalance's state machine: drain (ingest
 // is buffered for the duration, the sim analog of the client holding
-// its feeds), then per moved stream pull → push → commit, then a fence
-// broadcast to the whole fleet, and only then the epoch flip that
-// makes the new ring authoritative. A source that stays unreachable
-// past ColdAfter turns its move cold — the summary is left behind and
-// every later fold answers that stream with a fully tainted stand-in,
+// its feeds), then per (old owner, new owner) pair, in sorted order,
+// one bundle of every stream the pair moves: pull → push → commit,
+// under the source's name as the bundle key. Then a fence broadcast to
+// the whole fleet, and only then the epoch flip that makes the new
+// ring authoritative. A source that stays unreachable past ColdAfter
+// turns its whole bundle cold — the summaries are left behind and
+// every later fold answers those streams with fully tainted stand-ins,
 // which is exactly the never-lying degradation the probes score.
 
 import (
@@ -63,12 +66,13 @@ type MigrateConfig struct {
 	// the data stream.
 	MigrateAt float64
 	// ChunkBytes is the transfer chunk size; small values force
-	// multi-chunk handoffs. 0 means 48.
+	// multi-chunk bundles. 0 means 48.
 	ChunkBytes int
 	// RetryEvery is the driver's retransmit interval; 0 means 0.5.
 	RetryEvery float64
-	// ColdAfter is how long one move may stall before the driver
-	// abandons it cold; 0 means 8.
+	// ColdAfter is how long one bundle may go without progress (a
+	// reply that advances it) before the driver abandons it cold; 0
+	// means 8.
 	ColdAfter float64
 	// FenceBudget is how long the fence broadcast retries before the
 	// flip proceeds with unfenced nodes listed; 0 means 8.
@@ -142,7 +146,9 @@ func (c MigrateConfig) withDefaults() MigrateConfig {
 	return c
 }
 
-// MigMove records one stream's handoff.
+// MigMove records one stream's handoff. Bytes is the stream's own
+// summary length; Chunks counts the pull chunks of the bundle that
+// carried it (shared by every move of that bundle).
 type MigMove struct {
 	Stream   string
 	From, To string
@@ -153,10 +159,11 @@ type MigMove struct {
 
 // AppliedChunk is one pull chunk the driver actually applied (duplicate
 // deliveries from retransmissions are idempotently dropped and do not
-// appear). Offsets per stream must be strictly increasing and gap-free
-// — the no-re-sent-bytes ledger.
+// appear). Offsets per bundle must be strictly increasing and gap-free
+// — the no-re-sent-bytes ledger. Bundle names the node pair,
+// "from>to".
 type AppliedChunk struct {
-	Stream string
+	Bundle string
 	Offset int64
 	N      int
 }
@@ -188,12 +195,13 @@ type MigrateResult struct {
 	FromEpoch, ToEpoch uint64
 	// Flipped reports whether the cutover completed within the run.
 	Flipped bool
-	// Moves are the handoffs in execution (sorted-stream) order.
+	// Moves are the handoffs, sorted by stream.
 	Moves []MigMove
 	// Unfenced lists shards the fence broadcast could not reach before
 	// the flip, by name.
 	Unfenced []string
-	// Applied is the pull ledger across all moves.
+	// Applied is the pull ledger across all bundles, in execution
+	// order.
 	Applied []AppliedChunk
 	// Refusals counts stale-epoch refusals per shard name.
 	Refusals map[string]int
@@ -242,18 +250,19 @@ type msumRes struct {
 	Sums  [][]byte
 }
 
+// mreadReq names the stream set whose bundle it reads, as migRead
+// does; mwriteReq and mcommitReq carry the bundle key instead.
 type mreadReq struct {
-	ID     int
-	Stream string
-	Offset int64
-	Total  int64
-	CRC    uint32
-	Chunk  int
+	ID      int
+	Streams []string
+	Offset  int64
+	Total   int64
+	CRC     uint32
+	Chunk   int
 }
 
 type mreadRes struct {
 	ID     int
-	Stream string
 	Offset int64
 	Total  int64
 	CRC    uint32
@@ -263,7 +272,7 @@ type mreadRes struct {
 
 type mwriteReq struct {
 	ID     int
-	Stream string
+	Key    string
 	Offset int64
 	Total  int64
 	CRC    uint32
@@ -272,23 +281,21 @@ type mwriteReq struct {
 
 type mwriteRes struct {
 	ID        int
-	Stream    string
 	Have      int64
 	Committed bool
 	Err       string
 }
 
 type mcommitReq struct {
-	ID     int
-	Stream string
-	Total  int64
-	CRC    uint32
-	Epoch  uint64
+	ID    int
+	Key   string
+	Total int64
+	CRC   uint32
+	Epoch uint64
 }
 
 type mcommitRes struct {
 	ID        int
-	Stream    string
 	Committed bool
 	Err       string
 }
@@ -301,8 +308,10 @@ type mfenceAck struct {
 }
 
 // migShard is one shard's volatile state: stream trees, the fence
-// epoch, export snapshots (source side), and transfer assemblies plus
-// committed marks (destination side). A crash loses all of it.
+// epoch, bundle snapshots by stream set (source side), and bundle
+// assemblies plus committed marks by bundle key (destination side; a
+// committed assembly is kept for its identity). A crash loses all of
+// it.
 type migShard struct {
 	trees     map[string]*core.Tree
 	epoch     uint64
@@ -351,9 +360,10 @@ type migHarness struct {
 	migrating bool
 	buffered  [][]float64 // rows deferred while the driver holds ingest
 
-	// driver state
+	// driver state: bundles in execution order, the current one
+	bundles      []migBundle
 	phase        int
-	mvIdx        int
+	bIdx         int
 	asm          *core.SummaryAssembly
 	xfer         *core.SummaryTransfer
 	waitID       int
@@ -368,6 +378,15 @@ type migHarness struct {
 	res      *MigrateResult
 }
 
+// migBundle is one node pair's move set.
+type migBundle struct {
+	name     string // "from>to", the ledger's key
+	from, to string
+	moves    []int // into MigrateResult.Moves, stream order
+	streams  []string
+	bytes    int64 // the bundle's length once pulled
+}
+
 type gatherMig struct {
 	responses map[netsim.NodeID]msumRes
 	sent      map[string]int64
@@ -380,9 +399,9 @@ func migShardName(id netsim.NodeID) string { return fmt.Sprintf("shard%d", id) }
 // RunMigrate replays one live-resharding scenario. Invariants checked
 // along the way land in Result.Violations: every answered probe must
 // satisfy |Value − Exact| ≤ Bound, pull chunks apply gap-free and
-// monotonically (a byte is never applied twice), non-cold moves must
-// transfer exactly their summary's length, and the network accounting
-// must balance.
+// monotonically per bundle (a byte is never applied twice), non-cold
+// bundles must transfer exactly their length, and the network
+// accounting must balance.
 func RunMigrate(cfg MigrateConfig) (*MigrateResult, error) {
 	cfg = cfg.withDefaults()
 	top := netsim.NewTopology()
@@ -487,7 +506,7 @@ func RunMigrate(cfg MigrateConfig) (*MigrateResult, error) {
 		}
 	}
 	// A crash loses the shard's volatile state: trees, fence epoch,
-	// export snapshots, and half-assembled transfers.
+	// bundle snapshots, and half-assembled bundles.
 	net.OnCrash = func(id netsim.NodeID) {
 		if h.shards[id] != nil {
 			h.shards[id] = newMigShard()
@@ -586,11 +605,12 @@ func (h *migHarness) onMigSumReq(id netsim.NodeID, m netsim.Message) {
 	h.reply(id, "msumres", res)
 }
 
-// onMigRead serves one export chunk. The snapshot is cached per stream
-// so a resumed pull reads the same bytes; an identity mismatch (the
-// snapshot was lost to a crash and re-taken over different state)
-// restarts the transfer at offset 0 with the new identity — the driver
-// may resume monotonically only within one identity.
+// onMigRead serves one chunk of the bundle of the requested set. The
+// snapshot is cached per set so a resumed pull reads the same bytes;
+// an identity mismatch (the snapshot was lost to a crash and re-taken
+// over different state) restarts the transfer at offset 0 with the new
+// identity — the driver may resume monotonically only within one
+// identity. A set naming a stream the shard lacks is refused whole.
 func (h *migHarness) onMigRead(id netsim.NodeID, m netsim.Message) {
 	req, ok := m.Payload.(mreadReq)
 	if !ok {
@@ -598,17 +618,25 @@ func (h *migHarness) onMigRead(id netsim.NodeID, m netsim.Message) {
 		return
 	}
 	sh := h.shards[id]
-	res := mreadRes{ID: req.ID, Stream: req.Stream}
-	xfer := sh.exports[req.Stream]
+	res := mreadRes{ID: req.ID}
+	set := strings.Join(req.Streams, "\x00")
+	xfer := sh.exports[set]
 	if xfer == nil {
-		tr, ok := sh.trees[req.Stream]
-		if !ok {
-			res.Err = fmt.Sprintf("shard %d holds no stream %q", id, req.Stream)
+		trees := make([]*core.Tree, len(req.Streams))
+		for i, st := range req.Streams {
+			if trees[i] = sh.trees[st]; trees[i] == nil {
+				res.Err = fmt.Sprintf("shard %d holds no stream %q", id, st)
+				h.reply(id, "mreadres", res)
+				return
+			}
+		}
+		var err error
+		if xfer, err = core.NewBundleTransfer(req.Streams, trees); err != nil {
+			res.Err = err.Error()
 			h.reply(id, "mreadres", res)
 			return
 		}
-		xfer = core.NewSummaryTransfer(tr)
-		sh.exports[req.Stream] = xfer
+		sh.exports[set] = xfer
 	}
 	res.Total, res.CRC = xfer.Len(), xfer.CRC()
 	off := req.Offset
@@ -632,24 +660,22 @@ func (h *migHarness) onMigWrite(id netsim.NodeID, m netsim.Message) {
 		return
 	}
 	sh := h.shards[id]
-	res := mwriteRes{ID: req.ID, Stream: req.Stream}
-	if sh.committed[req.Stream] {
-		res.Committed = true
-		if asm := sh.asms[req.Stream]; asm != nil {
-			res.Have = asm.Have()
-		}
+	res := mwriteRes{ID: req.ID}
+	asm := sh.asms[req.Key]
+	if sh.committed[req.Key] && asm.Matches(req.Total, req.CRC) {
+		res.Committed, res.Have = true, asm.Have()
 		h.reply(id, "mwriteres", res)
 		return
 	}
-	asm := sh.asms[req.Stream]
-	if asm == nil || !asm.Matches(req.Total, req.CRC) {
+	if asm == nil || sh.committed[req.Key] || !asm.Matches(req.Total, req.CRC) {
 		var err error
 		if asm, err = core.NewSummaryAssembly(req.Total, req.CRC); err != nil {
 			res.Err = err.Error()
 			h.reply(id, "mwriteres", res)
 			return
 		}
-		sh.asms[req.Stream] = asm
+		sh.asms[req.Key] = asm
+		delete(sh.committed, req.Key)
 	}
 	if len(req.Data) > 0 && req.Offset <= asm.Have() {
 		if err := asm.Append(req.Offset, req.Data); err != nil {
@@ -664,6 +690,8 @@ func (h *migHarness) onMigWrite(id netsim.NodeID, m netsim.Message) {
 	h.reply(id, "mwriteres", res)
 }
 
+// onMigCommit verifies the keyed bundle, decodes every entry, and only
+// then installs them all, as the wire server does.
 func (h *migHarness) onMigCommit(id netsim.NodeID, m netsim.Message) {
 	req, ok := m.Payload.(mcommitReq)
 	if !ok {
@@ -671,8 +699,9 @@ func (h *migHarness) onMigCommit(id netsim.NodeID, m netsim.Message) {
 		return
 	}
 	sh := h.shards[id]
-	res := mcommitRes{ID: req.ID, Stream: req.Stream}
-	if sh.committed[req.Stream] {
+	res := mcommitRes{ID: req.ID}
+	asm := sh.asms[req.Key]
+	if sh.committed[req.Key] && asm.Matches(req.Total, req.CRC) {
 		res.Committed = true
 		h.reply(id, "mcommitres", res)
 		return
@@ -682,26 +711,41 @@ func (h *migHarness) onMigCommit(id netsim.NodeID, m netsim.Message) {
 		h.reply(id, "mcommitres", res)
 		return
 	}
-	asm := sh.asms[req.Stream]
-	if asm == nil || !asm.Matches(req.Total, req.CRC) || !asm.Complete() {
-		res.Err = fmt.Sprintf("shard %d has no complete transfer for %q", id, req.Stream)
+	if asm == nil || sh.committed[req.Key] || !asm.Matches(req.Total, req.CRC) || !asm.Complete() {
+		res.Err = fmt.Sprintf("shard %d has no complete bundle under %q", id, req.Key)
 		h.reply(id, "mcommitres", res)
 		return
 	}
-	sum, err := asm.Summary()
-	if err != nil {
+	fail := func(err error) {
 		res.Err = err.Error()
 		h.reply(id, "mcommitres", res)
-		return
 	}
-	tr, err := core.FromSummary(sum)
+	xfer, err := asm.Transfer()
 	if err != nil {
-		res.Err = err.Error()
-		h.reply(id, "mcommitres", res)
+		fail(err)
 		return
 	}
-	sh.trees[req.Stream] = tr
-	sh.committed[req.Stream] = true
+	entries, err := xfer.Entries()
+	if err != nil {
+		fail(err)
+		return
+	}
+	trees := make([]*core.Tree, len(entries))
+	for i, e := range entries {
+		sum, err := core.DecodeSummary(e.Summary)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if trees[i], err = core.FromSummary(sum); err != nil {
+			fail(err)
+			return
+		}
+	}
+	for i, e := range entries {
+		sh.trees[e.Name] = trees[i]
+	}
+	sh.committed[req.Key] = true
 	res.Committed = true
 	h.reply(id, "mcommitres", res)
 }
@@ -733,59 +777,79 @@ func (h *migHarness) moves() []string {
 	return out
 }
 
-func (h *migHarness) currentMove() *MigMove {
-	if h.mvIdx >= len(h.res.Moves) {
+func (h *migHarness) currentBundle() *migBundle {
+	if h.bIdx >= len(h.bundles) {
 		return nil
 	}
-	return &h.res.Moves[h.mvIdx]
+	return &h.bundles[h.bIdx]
 }
 
-// startMigration drains ingest and begins the first pull.
+// startMigration drains ingest, groups the moves by node pair, and
+// begins the first pull.
 func (h *migHarness) startMigration() {
 	h.migrating = true
+	at := make(map[string]int)
 	for _, st := range h.moves() {
-		h.res.Moves = append(h.res.Moves, MigMove{
-			Stream: st, From: h.oldRing.Owner(st), To: h.newRing.Owner(st),
-		})
+		mv := MigMove{Stream: st, From: h.oldRing.Owner(st), To: h.newRing.Owner(st)}
+		name := mv.From + ">" + mv.To
+		j, ok := at[name]
+		if !ok {
+			j = len(h.bundles)
+			at[name] = j
+			h.bundles = append(h.bundles, migBundle{name: name, from: mv.From, to: mv.To})
+		}
+		h.bundles[j].moves = append(h.bundles[j].moves, len(h.res.Moves))
+		h.bundles[j].streams = append(h.bundles[j].streams, st)
+		h.res.Moves = append(h.res.Moves, mv)
 	}
-	h.mvIdx = -1
-	h.advanceMove()
+	sort.Slice(h.bundles, func(a, b int) bool {
+		x, y := h.bundles[a], h.bundles[b]
+		return x.from < y.from || (x.from == y.from && x.to < y.to)
+	})
+	h.bIdx = -1
+	h.advanceBundle()
 }
 
-// advanceMove steps to the next stream, or to the fence when done.
-func (h *migHarness) advanceMove() {
-	h.mvIdx++
+// advanceBundle steps to the next bundle, or to the fence when done.
+func (h *migHarness) advanceBundle() {
+	h.bIdx++
 	h.asm, h.xfer, h.pushHave = nil, nil, 0
-	if mv := h.currentMove(); mv != nil {
+	if b := h.currentBundle(); b != nil {
 		h.phase = migPull
-		h.coldDeadline = h.sim.Now() + h.cfg.ColdAfter
-		h.sendPull(mv)
+		h.progressed()
+		h.sendPull(b)
 		return
 	}
 	h.startFence()
 }
 
-// goCold abandons the current move and leaves the stream behind; the
-// sent registry still counts it, so folds answer it with a tainted
-// stand-in rather than silence.
+// progressed re-arms the cold deadline: the current bundle advanced.
+func (h *migHarness) progressed() {
+	h.coldDeadline = h.sim.Now() + h.cfg.ColdAfter
+}
+
+// goCold abandons the current bundle and leaves its streams behind;
+// the sent registry still counts them, so folds answer them with
+// tainted stand-ins rather than silence.
 func (h *migHarness) goCold() {
-	mv := h.currentMove()
-	mv.Cold = true
-	h.advanceMove()
+	for _, i := range h.currentBundle().moves {
+		h.res.Moves[i].Cold = true
+	}
+	h.advanceBundle()
 }
 
 // request issues one driver request and arms its retransmit timer. The
 // timer re-issues the same logical request (fresh ID) for as long as
 // the driver is still waiting in the same phase; past coldDeadline it
-// gives up the move instead.
+// gives up the bundle instead.
 func (h *migHarness) request(to netsim.NodeID, kind string, build func(id int) any) {
 	h.nextID++
 	id := h.nextID
 	h.waitID = id
-	phase, mvIdx := h.phase, h.mvIdx
+	phase, bIdx := h.phase, h.bIdx
 	h.send(to, kind, build(id))
 	if err := h.sim.At(h.sim.Now()+h.cfg.RetryEvery, func() {
-		if h.waitID != id || h.phase != phase || h.mvIdx != mvIdx {
+		if h.waitID != id || h.phase != phase || h.bIdx != bIdx {
 			return // answered or moved on
 		}
 		if h.phase != migFence && h.sim.Now() >= h.coldDeadline {
@@ -798,15 +862,15 @@ func (h *migHarness) request(to netsim.NodeID, kind string, build func(id int) a
 	}
 }
 
-func (h *migHarness) sendPull(mv *MigMove) {
+func (h *migHarness) sendPull(b *migBundle) {
 	var total int64
 	var crc uint32
 	var off int64
 	if h.asm != nil {
 		total, crc, off = h.asm.Total(), h.asm.CRC(), h.asm.Have()
 	}
-	h.request(h.byName[mv.From], "mread", func(id int) any {
-		return mreadReq{ID: id, Stream: mv.Stream, Offset: off, Total: total, CRC: crc, Chunk: h.cfg.ChunkBytes}
+	h.request(h.byName[b.from], "mread", func(id int) any {
+		return mreadReq{ID: id, Streams: b.streams, Offset: off, Total: total, CRC: crc, Chunk: h.cfg.ChunkBytes}
 	})
 }
 
@@ -816,26 +880,26 @@ func (h *migHarness) onMigReadRes(m netsim.Message) {
 		h.violate("driver: bad mreadres payload %T", m.Payload)
 		return
 	}
-	mv := h.currentMove()
-	if h.phase != migPull || mv == nil || res.ID != h.waitID || res.Stream != mv.Stream {
+	b := h.currentBundle()
+	if h.phase != migPull || b == nil || res.ID != h.waitID {
 		return // stale response from a retransmitted request
 	}
 	h.waitID = 0
 	if res.Err != "" {
 		// The source answered but cannot serve (e.g. restarted empty).
 		// Keep retrying until the cold deadline: a heal may restore it.
-		h.retryLater(func() { h.sendPull(mv) })
+		h.retryLater(func() { h.sendPull(b) })
 		return
 	}
 	if h.asm == nil || !h.asm.Matches(res.Total, res.CRC) {
 		if res.Offset != 0 {
-			h.violate("move %q: source switched identity mid-transfer at offset %d", mv.Stream, res.Offset)
+			h.violate("bundle %s: source switched identity mid-transfer at offset %d", b.name, res.Offset)
 			h.goCold()
 			return
 		}
 		asm, err := core.NewSummaryAssembly(res.Total, res.CRC)
 		if err != nil {
-			h.violate("move %q: %v", mv.Stream, err)
+			h.violate("bundle %s: %v", b.name, err)
 			h.goCold()
 			return
 		}
@@ -845,38 +909,69 @@ func (h *migHarness) onMigReadRes(m netsim.Message) {
 		// The ledger's core property: every applied chunk continues at
 		// exactly the resume token. Anything else means bytes were
 		// re-sent or skipped.
-		h.violate("move %q: chunk at offset %d, resume token %d", mv.Stream, res.Offset, h.asm.Have())
+		h.violate("bundle %s: chunk at offset %d, resume token %d", b.name, res.Offset, h.asm.Have())
 		h.goCold()
 		return
 	}
 	if err := h.asm.Append(res.Offset, res.Data); err != nil {
-		h.violate("move %q: %v", mv.Stream, err)
+		h.violate("bundle %s: %v", b.name, err)
 		h.goCold()
 		return
 	}
-	h.res.Applied = append(h.res.Applied, AppliedChunk{Stream: mv.Stream, Offset: res.Offset, N: len(res.Data)})
-	mv.Chunks++
+	h.progressed()
+	h.res.Applied = append(h.res.Applied, AppliedChunk{Bundle: b.name, Offset: res.Offset, N: len(res.Data)})
+	for _, i := range b.moves {
+		h.res.Moves[i].Chunks++
+	}
 	if !h.asm.Complete() {
-		h.sendPull(mv)
+		h.sendPull(b)
 		return
 	}
+	if err := h.pulled(b); err != nil {
+		h.violate("bundle %s: %v", b.name, err)
+		h.goCold()
+		return
+	}
+	h.phase = migPush
+	data, err := h.xfer.Chunk(0, h.cfg.ChunkBytes)
+	if err != nil {
+		h.violate("bundle %s: %v", b.name, err)
+		h.goCold()
+		return
+	}
+	h.sendPush(b, data, 0) // a fresh push starts at offset 0
+}
+
+// pulled relays the complete assembly as the push's transfer and
+// records each stream's own summary length from the bundle's index.
+func (h *migHarness) pulled(b *migBundle) error {
 	xfer, err := h.asm.Transfer()
 	if err != nil {
-		h.violate("move %q: %v", mv.Stream, err)
-		h.goCold()
-		return
+		return err
 	}
-	h.xfer = xfer
-	mv.Bytes = xfer.Len()
-	h.phase = migPush
-	h.sendPush(mv, nil, 0) // opening probe: learn the resume token
+	entries, err := xfer.Entries()
+	if err != nil {
+		return err
+	}
+	if len(entries) != len(b.moves) {
+		return fmt.Errorf("%d entries for %d streams", len(entries), len(b.moves))
+	}
+	for k, e := range entries {
+		mv := &h.res.Moves[b.moves[k]]
+		if e.Name != mv.Stream {
+			return fmt.Errorf("entry %q where %q belongs", e.Name, mv.Stream)
+		}
+		mv.Bytes = int64(len(e.Summary))
+	}
+	h.xfer, b.bytes = xfer, xfer.Len()
+	return nil
 }
 
 // retryLater re-arms the current step after RetryEvery, or goes cold.
 func (h *migHarness) retryLater(step func()) {
-	phase, mvIdx := h.phase, h.mvIdx
+	phase, bIdx := h.phase, h.bIdx
 	if err := h.sim.At(h.sim.Now()+h.cfg.RetryEvery, func() {
-		if h.phase != phase || h.mvIdx != mvIdx || h.waitID != 0 {
+		if h.phase != phase || h.bIdx != bIdx || h.waitID != 0 {
 			return
 		}
 		if h.sim.Now() >= h.coldDeadline {
@@ -889,9 +984,11 @@ func (h *migHarness) retryLater(step func()) {
 	}
 }
 
-func (h *migHarness) sendPush(mv *MigMove, data []byte, off int64) {
-	h.request(h.byName[mv.To], "mwrite", func(id int) any {
-		return mwriteReq{ID: id, Stream: mv.Stream, Offset: off, Total: h.xfer.Len(), CRC: h.xfer.CRC(), Data: data}
+// sendPush writes data at off under the bundle key, the source's name;
+// empty data probes the destination's resume token.
+func (h *migHarness) sendPush(b *migBundle, data []byte, off int64) {
+	h.request(h.byName[b.to], "mwrite", func(id int) any {
+		return mwriteReq{ID: id, Key: b.from, Offset: off, Total: h.xfer.Len(), CRC: h.xfer.CRC(), Data: data}
 	})
 }
 
@@ -901,33 +998,37 @@ func (h *migHarness) onMigWriteRes(m netsim.Message) {
 		h.violate("driver: bad mwriteres payload %T", m.Payload)
 		return
 	}
-	mv := h.currentMove()
-	if h.phase != migPush || mv == nil || res.ID != h.waitID || res.Stream != mv.Stream {
+	b := h.currentBundle()
+	if h.phase != migPush || b == nil || res.ID != h.waitID {
 		return
 	}
 	h.waitID = 0
 	if res.Err != "" {
-		h.retryLater(func() { h.sendPush(mv, nil, 0) })
+		// Resuming after a failure: probe the resume token first.
+		h.retryLater(func() { h.sendPush(b, nil, 0) })
 		return
+	}
+	if res.Have > h.pushHave || res.Committed {
+		h.progressed()
 	}
 	h.pushHave = res.Have
 	if res.Committed || res.Have >= h.xfer.Len() {
 		h.phase = migCommit
-		h.sendCommit(mv)
+		h.sendCommit(b)
 		return
 	}
 	data, err := h.xfer.Chunk(res.Have, h.cfg.ChunkBytes)
 	if err != nil {
-		h.violate("move %q: %v", mv.Stream, err)
+		h.violate("bundle %s: %v", b.name, err)
 		h.goCold()
 		return
 	}
-	h.sendPush(mv, data, res.Have)
+	h.sendPush(b, data, res.Have)
 }
 
-func (h *migHarness) sendCommit(mv *MigMove) {
-	h.request(h.byName[mv.To], "mcommit", func(id int) any {
-		return mcommitReq{ID: id, Stream: mv.Stream, Total: h.xfer.Len(), CRC: h.xfer.CRC(), Epoch: h.newRing.Epoch()}
+func (h *migHarness) sendCommit(b *migBundle) {
+	h.request(h.byName[b.to], "mcommit", func(id int) any {
+		return mcommitReq{ID: id, Key: b.from, Total: h.xfer.Len(), CRC: h.xfer.CRC(), Epoch: h.newRing.Epoch()}
 	})
 }
 
@@ -937,19 +1038,19 @@ func (h *migHarness) onMigCommitRes(m netsim.Message) {
 		h.violate("driver: bad mcommitres payload %T", m.Payload)
 		return
 	}
-	mv := h.currentMove()
-	if h.phase != migCommit || mv == nil || res.ID != h.waitID || res.Stream != mv.Stream {
+	b := h.currentBundle()
+	if h.phase != migCommit || b == nil || res.ID != h.waitID {
 		return
 	}
 	h.waitID = 0
 	if res.Err != "" || !res.Committed {
-		// The transfer may have been lost to a destination crash:
+		// The bundle may have been lost to a destination crash:
 		// restart the push from the destination's resume token.
 		h.phase = migPush
-		h.retryLater(func() { h.sendPush(mv, nil, 0) })
+		h.retryLater(func() { h.sendPush(b, nil, 0) })
 		return
 	}
-	h.advanceMove()
+	h.advanceBundle()
 }
 
 // startFence broadcasts the new epoch to the whole fleet (old and new
@@ -1262,21 +1363,27 @@ func (h *migHarness) run() (*MigrateResult, error) {
 	}
 	h.sim.RunUntil(float64(cfg.DataCount)*cfg.DataInterval + cfg.SettleTime)
 
-	// Post-run ledger checks: every non-cold move transferred exactly
-	// its summary once, gap-free and monotone.
+	// Post-run ledger checks: every non-cold bundle transferred
+	// exactly once, gap-free and monotone, and carried every one of its
+	// streams.
 	applied := make(map[string]int64)
 	for _, ch := range h.res.Applied {
-		if ch.Offset != applied[ch.Stream] {
-			h.violate("ledger: stream %q applied chunk at %d, expected %d", ch.Stream, ch.Offset, applied[ch.Stream])
+		if ch.Offset != applied[ch.Bundle] {
+			h.violate("ledger: bundle %s applied chunk at %d, expected %d", ch.Bundle, ch.Offset, applied[ch.Bundle])
 		}
-		applied[ch.Stream] += int64(ch.N)
+		applied[ch.Bundle] += int64(ch.N)
 	}
-	for _, mv := range h.res.Moves {
-		if mv.Cold {
+	for _, b := range h.bundles {
+		if h.res.Moves[b.moves[0]].Cold {
 			continue
 		}
-		if got := applied[mv.Stream]; got != mv.Bytes || mv.Bytes == 0 {
-			h.violate("ledger: move %q applied %d bytes, summary is %d", mv.Stream, got, mv.Bytes)
+		if got := applied[b.name]; got != b.bytes || b.bytes == 0 {
+			h.violate("ledger: bundle %s applied %d bytes, bundle is %d", b.name, got, b.bytes)
+		}
+		for _, i := range b.moves {
+			if h.res.Moves[i].Bytes == 0 {
+				h.violate("ledger: bundle %s carried no summary of %q", b.name, h.res.Moves[i].Stream)
+			}
 		}
 	}
 	// Final fleet state: each stream's canonical summary at its

@@ -16,7 +16,7 @@ import (
 
 // TestStreamCodecDoesNotAllocate pins the pure stream-frame layer:
 // streamBatchLimit, appendStreamName, splitStreamName,
-// appendStreamDataFrame, decodeStreamDataFrame, spointFit,
+// appendStreamDataFrame, decodeStreamDataFrame, spointFit, MigReadFit,
 // appendStreamPointsFrame, decodeStreamPointsFrame,
 // beginStreamPointsRes, appendStreamPointOK, appendRefusal,
 // splitRefusal, decodeStreamPointsRes (answered entries), sfoldFit,
@@ -50,7 +50,7 @@ func TestStreamCodecDoesNotAllocate(t *testing.T) {
 			return errFrameLength
 		}
 
-		if spointFit(names) != len(names) {
+		if spointFit(names) != len(names) || MigReadFit(names) != len(names) {
 			return errFrameLength
 		}
 		frame = appendStreamPointsFrame(frame[:0], 1, 3, names)

@@ -45,12 +45,13 @@ package wire
 //	               (absent when none folded)
 //	epoch     c→s  u8 op (0 get, 1 set) | u64 epoch
 //	epochRes  s→c  u64 epoch   (the server's epoch after the op)
-//	migRead   c→s  u16 nameLen | name | u64 offset | u32 crc | u32 max
+//	migRead   c→s  u32 n | n × (u16 nameLen | name) | u64 offset |
+//	               u32 crc | u32 max
 //	migChunk  s→c  u64 offset | u64 total | u32 crc | u32 n | n bytes
-//	migWrite  c→s  u16 nameLen | name | u64 offset | u64 total |
+//	migWrite  c→s  u16 keyLen | key | u64 offset | u64 total |
 //	               u32 crc | u32 n | n bytes
-//	migStat   c→s  u16 nameLen | name
-//	migCommit c→s  u16 nameLen | name | u64 total | u32 crc | u64 epoch
+//	migStat   c→s  u16 keyLen | key
+//	migCommit c→s  u16 keyLen | key | u64 total | u32 crc | u64 epoch
 //	migState  s→c  u64 have | u64 total | u32 crc | u8 committed
 //	subscribe c→s  f64 minChange | u32 1 | u32 nterms |
 //	               nterms×(u32 age | f64 weight)  (a one-query query payload)
@@ -110,9 +111,9 @@ const (
 	bfSSum  = 0x10
 	// Live-resharding control plane (see migrate.go): epoch get/set is
 	// the v2 control frame a node learns its ring version through;
-	// migRead/migChunk export a stream's summary from its old owner in
-	// resumable chunks, migWrite/migStat/migCommit land it on the new
-	// owner, all fenced by the transfer's whole-encoding CRC32C.
+	// migRead/migChunk export a stream set's summary bundle from its
+	// old owner in resumable chunks, migWrite/migStat/migCommit land it
+	// on the new owner, all fenced by the bundle's CRC32C.
 	bfEpoch     = 0x11
 	bfEpochRes  = 0x12
 	bfMigRead   = 0x13

@@ -79,7 +79,8 @@ func FuzzServerDispatch(f *testing.F) {
 	))
 	f.Add(cat(
 		appendStreamDataFrame(nil, "cpu", 0, []float64{1, 2}),
-		appendMigReadFrame(nil, "cpu", 0, 0, 64),
+		appendMigReadFrame(nil, []string{"cpu"}, 0, 0, 64),
+		appendMigReadFrame(nil, []string{"cpu", "mem", "cpu"}, 0, 0, 64),
 		appendMigWriteFrame(nil, "disk", 0, 16, 0xBEEF, []byte("partial")),
 		appendMigStatFrame(nil, "disk"),
 		appendMigCommitFrame(nil, "disk", 16, 0xBEEF, 0),
@@ -111,6 +112,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(hostile(bfSPoint, make([]byte, 12), u32(0xFFFFFFFF), u16(1), []byte("s")))
 	f.Add(hostile(bfSFold, make([]byte, 24), u32(1), u16(0xFFFF), []byte("s")))
 	f.Add(hostile(bfSData, make([]byte, 8), u16(0), u32(1), make([]byte, 8)))
+	f.Add(hostile(bfMigRead, u32(0xFFFFFFFF), u16(1), []byte("s"), make([]byte, 16)))
 	f.Add(hostile(bfMigWrite, u16(1), []byte("s"), make([]byte, 8), u32(0xFFFFFFFF), u32(0xFFFFFFFF), u32(0), u32(0xFFFFFF)))
 	f.Add(hostile(bfSubscribe, make([]byte, 8), u32(2), u32(1), make([]byte, 12), u32(1), make([]byte, 12)))
 	f.Add(hostile(0x7F, []byte("no-such-op")))

@@ -30,17 +30,22 @@ package wire
 //
 // # Summary handoff
 //
-// migRead/migChunk export a stream's canonical summary from its old
-// owner in chunks; migWrite/migStat/migCommit assemble and install it
-// on the new owner (core.SummaryTransfer / core.SummaryAssembly do the
-// byte-level work). The whole-encoding CRC32C is the transfer identity
-// on both sides: a resume offset is honored only under a matching CRC,
-// otherwise the peer restarts the stream at offset zero — detectable
+// A handoff moves a bundle: the canonical summaries of a stream set
+// under a name index (core.NewBundleTransfer; a single stream is a
+// bundle of one). migRead names the set and migChunk serves the
+// bundle from the old owner in chunks; migWrite/migStat/migCommit
+// assemble it on the new owner and install every entry
+// (core.SummaryTransfer / core.SummaryAssembly do the byte-level
+// work). The whole-bundle CRC32C is the transfer identity on both
+// sides: a resume offset is honored only under a matching CRC,
+// otherwise the peer restarts the bundle at offset zero — detectable
 // by the driver because every reply carries the identity it actually
-// served. Inbound assemblies live on the Server keyed by stream name,
-// so an interrupted driver resumes across reconnects from the `have`
-// resume token, never re-sending applied bytes; committed transfers
-// are remembered by identity, making commits idempotent.
+// served. Inbound assemblies live on the Server keyed by the name the
+// write frames carry — the bundle key, which cluster.Rebalance sets to
+// the source node's address, so the table holds one entry per source
+// — and an interrupted driver resumes across reconnects from the
+// `have` resume token, never re-sending applied bytes; committed
+// transfers are remembered by identity, making commits idempotent.
 
 import (
 	"bytes"
@@ -60,12 +65,16 @@ const (
 	maxMigChunk     = 256 << 10
 )
 
+// migReadHdr is a migRead frame's size besides its names: type, count,
+// offset, crc, max.
+const migReadHdr = 1 + 4 + 8 + 4 + 4
+
 var (
 	errEpochStale = errors.New("wire: frame ring epoch behind server: placement is stale, refresh the ring")
 	errMigNoXfer  = errors.New("wire: no matching summary transfer for commit")
 )
 
-// MigChunk is one slice of an exported summary, as served by migRead.
+// MigChunk is one slice of an exported bundle, as served by migRead.
 // Data aliases the client's receive buffer: valid until the next call
 // on the same BinClient.
 type MigChunk struct {
@@ -75,7 +84,7 @@ type MigChunk struct {
 	Data   []byte
 }
 
-// MigState is the new owner's view of one inbound transfer: the
+// MigState is the new owner's view of one inbound bundle: the
 // contiguous bytes received (the resume token), the declared identity,
 // and whether the transfer has been committed (installed).
 type MigState struct {
@@ -85,7 +94,7 @@ type MigState struct {
 	Committed bool
 }
 
-// migEntry is one stream's inbound transfer on the server. Before
+// migEntry is one bundle key's inbound transfer on the server. Before
 // commit, asm accumulates chunks; after commit asm is dropped and the
 // identity is retained so duplicate commits and probes answer
 // idempotently.
@@ -122,14 +131,35 @@ func decodeEpochFrame(payload []byte) (op byte, epoch uint64, err error) {
 	return payload[0], binary.BigEndian.Uint64(payload[1:]), nil
 }
 
-// appendMigReadFrame requests a chunk of the named stream's exported
-// summary at offset; crc fences resumes (0 for a fresh transfer), max
-// bounds the reply's chunk size (0 for the server default).
-func appendMigReadFrame(dst []byte, name string, offset int64, crc uint32, max int) []byte {
+// MigReadFit returns how many names, from the front, one migRead
+// frame carries under MaxFrame (at least one: names are at most
+// maxStreamName bytes). A driver moving more names than fit splits
+// them into several bundles.
+//
+//swat:noalloc
+func MigReadFit(names []string) int {
+	size := migReadHdr
+	for i, name := range names {
+		size += 2 + len(name)
+		if size > MaxFrame {
+			return i
+		}
+	}
+	return len(names)
+}
+
+// appendMigReadFrame requests a chunk of the bundle of the named
+// streams' summaries at offset; crc fences resumes (0 for a fresh
+// transfer), max bounds the reply's chunk size (0 for the server
+// default).
+func appendMigReadFrame(dst []byte, names []string, offset int64, crc uint32, max int) []byte {
 	start := len(dst)
 	dst = codec.Begin(dst)
 	dst = append(dst, bfMigRead)
-	dst = appendStreamName(dst, name)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
+	for _, name := range names {
+		dst = appendStreamName(dst, name)
+	}
 	var b [16]byte
 	binary.BigEndian.PutUint64(b[:8], uint64(offset))
 	binary.BigEndian.PutUint32(b[8:], crc)
@@ -138,23 +168,37 @@ func appendMigReadFrame(dst []byte, name string, offset int64, crc uint32, max i
 	return codec.Finish(dst, start)
 }
 
-// decodeMigReadFrame parses a migRead frame payload. The returned name
-// aliases payload.
-func decodeMigReadFrame(payload []byte) (name []byte, offset int64, crc uint32, max int, err error) {
-	name, rest, err := splitStreamName(payload)
-	if err != nil {
-		return nil, 0, 0, 0, err
+// decodeMigReadFrame parses a migRead frame payload. set is the count
+// and the still-encoded list of n names (walk it with splitStreamName
+// after the count), aliasing payload; it doubles as the export's cache
+// key. A count the payload cannot hold (every name costs at least
+// three bytes) is refused before the walk.
+func decodeMigReadFrame(payload []byte) (n int, set []byte, offset int64, crc uint32, max int, err error) {
+	if len(payload) < 4+16 {
+		return 0, nil, 0, 0, 0, errFrameTruncated
 	}
-	if len(rest) != 16 {
-		return nil, 0, 0, 0, errFrameLength
+	n = int(binary.BigEndian.Uint32(payload))
+	end := len(payload) - 16
+	if n == 0 || n > (end-4)/3 {
+		return 0, nil, 0, 0, 0, errFrameLength
 	}
-	offset = int64(binary.BigEndian.Uint64(rest))
+	rest := payload[4:end]
+	for i := 0; i < n; i++ {
+		if _, rest, err = splitStreamName(rest); err != nil {
+			return 0, nil, 0, 0, 0, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, nil, 0, 0, 0, errFrameLength
+	}
+	tail := payload[end:]
+	offset = int64(binary.BigEndian.Uint64(tail))
 	if offset < 0 {
-		return nil, 0, 0, 0, errFrameLength
+		return 0, nil, 0, 0, 0, errFrameLength
 	}
-	crc = binary.BigEndian.Uint32(rest[8:])
-	max = int(binary.BigEndian.Uint32(rest[12:]))
-	return name, offset, crc, max, nil
+	crc = binary.BigEndian.Uint32(tail[8:])
+	max = int(binary.BigEndian.Uint32(tail[12:]))
+	return n, payload[:end], offset, crc, max, nil
 }
 
 // appendMigChunkFrame appends the export side's reply: the identity of
@@ -190,8 +234,8 @@ func decodeMigChunkFrame(payload []byte) (ch MigChunk, err error) {
 	return ch, nil
 }
 
-// appendMigWriteFrame lands data at offset of a transfer with the
-// given identity on the new owner. An empty data slice is a pure
+// appendMigWriteFrame lands data at offset of the bundle with the
+// given key and identity on the new owner. An empty data slice is a pure
 // probe-with-identity: it opens (or validates) the assembly and
 // returns its state without advancing it.
 func appendMigWriteFrame(dst []byte, name string, offset, total int64, crc uint32, data []byte) []byte {
@@ -229,7 +273,7 @@ func decodeMigWriteFrame(payload []byte) (name []byte, offset, total int64, crc 
 	return name, offset, total, crc, rest[24:], nil
 }
 
-// appendMigStatFrame asks for the named stream's transfer state.
+// appendMigStatFrame asks for the keyed bundle's transfer state.
 func appendMigStatFrame(dst []byte, name string) []byte {
 	start := len(dst)
 	dst = codec.Begin(dst)
@@ -238,7 +282,7 @@ func appendMigStatFrame(dst []byte, name string) []byte {
 	return codec.Finish(dst, start)
 }
 
-// appendMigCommitFrame verifies and installs a completed transfer.
+// appendMigCommitFrame verifies and installs a completed bundle.
 // epoch is the target ring epoch of the migration; a server already
 // past it refuses the commit (a late duplicate must not clobber
 // post-cutover state).
@@ -367,27 +411,40 @@ func (s *Server) handleEpoch(bc *binConn, payload []byte) error {
 	return s.binWrite(bc)
 }
 
-// handleMigRead serves one chunk of the named stream's exported
-// summary. The snapshot is cached per connection under its CRC: a
-// resume (offset > 0) is honored only while the cached or freshly
-// taken snapshot still carries the requested CRC; otherwise the reply
-// restarts at offset zero with the new identity, which the driver
-// detects by comparing the reply offset against its request.
+// handleMigRead serves one chunk of the bundle of the named streams'
+// summaries. The bundle is snapshotted once and cached per connection
+// under its name list and CRC: a resume (offset > 0) is honored only
+// while the cached or freshly taken snapshot of the same set still
+// carries the requested CRC; otherwise the reply restarts at offset
+// zero with the new identity, which the driver detects by comparing
+// the reply offset against its request. A set naming a stream the
+// server does not hold, or naming one twice, is refused whole.
 func (s *Server) handleMigRead(bc *binConn, payload []byte) error {
-	name, offset, crc, max, err := decodeMigReadFrame(payload)
+	n, set, offset, crc, max, err := decodeMigReadFrame(payload)
 	if err != nil {
 		return err
 	}
-	h, err := bc.resolveStream(s, name, false)
-	if err != nil {
-		s.binError(bc, err)
-		return nil
-	}
 	exp := bc.exp
-	if exp == nil || offset == 0 || exp.CRC() != crc || !bytes.Equal(bc.expName, name) {
-		exp = core.NewSummaryTransfer(h.tree)
+	if exp == nil || offset == 0 || exp.CRC() != crc || !bytes.Equal(bc.expKey, set) {
+		names := make([]string, n)
+		trees := make([]*core.Tree, n)
+		rest := set[4:]
+		for i := range names {
+			var name []byte
+			name, rest, _ = splitStreamName(rest) // validated by the decode
+			h, err := bc.resolveStream(s, name, false)
+			if err != nil {
+				s.binError(bc, err)
+				return nil
+			}
+			names[i], trees[i] = string(name), h.tree
+		}
+		if exp, err = core.NewBundleTransfer(names, trees); err != nil {
+			s.binError(bc, err)
+			return nil
+		}
 		bc.exp = exp
-		bc.expName = append(bc.expName[:0], name...)
+		bc.expKey = append(bc.expKey[:0], set...)
 	}
 	if offset > exp.Len() || exp.CRC() != crc {
 		offset = 0 // resume fence tripped: restart with the snapshot we have
@@ -403,16 +460,30 @@ func (s *Server) handleMigRead(bc *binConn, payload []byte) error {
 		return nil
 	}
 	bc.wbuf = appendMigChunkFrame(bc.wbuf[:0], offset, exp.Len(), exp.CRC(), chunk)
+	if offset+int64(len(chunk)) == exp.Len() {
+		// The last chunk is out: release the snapshot. A driver that
+		// lost this reply resumes against a fresh one under the fence.
+		bc.exp = nil
+	}
 	return s.binWrite(bc)
 }
 
-// migLookup returns the named stream's transfer entry, creating the
+// migLookup returns the keyed bundle's transfer entry, creating the
 // table on first use. Caller holds migMu.
-func (s *Server) migLookup(name []byte) *migEntry {
+func (s *Server) migLookup(key []byte) *migEntry {
 	if s.mig == nil {
 		s.mig = make(map[string]*migEntry)
 	}
-	return s.mig[string(name)]
+	return s.mig[string(key)]
+}
+
+// MigTransfers returns how many inbound transfers, pending or
+// committed, the server remembers: one per bundle key, so one per
+// source node that ever handed streams to it via cluster.Rebalance.
+func (s *Server) MigTransfers() int {
+	s.migMu.Lock()
+	defer s.migMu.Unlock()
+	return len(s.mig)
 }
 
 // handleMigWrite lands one chunk on the inbound assembly, opening or
@@ -450,8 +521,8 @@ func (s *Server) handleMigWrite(bc *binConn, payload []byte) error {
 	return s.binWrite(bc)
 }
 
-// handleMigStat reports the named stream's transfer state; a stream
-// with no transfer answers all zeros.
+// handleMigStat reports the keyed bundle's transfer state; a key with
+// no transfer answers all zeros.
 func (s *Server) handleMigStat(bc *binConn, payload []byte) error {
 	name, rest, err := splitStreamName(payload)
 	if err != nil {
@@ -475,15 +546,15 @@ func (s *Server) handleMigStat(bc *binConn, payload []byte) error {
 	return s.binWrite(bc)
 }
 
-// handleMigCommit verifies the assembled transfer against its declared
-// identity and installs the summary on the monitor — the stream's tree
-// state afterwards is exactly the old owner's export. Commits are
-// idempotent under the same identity and refused when the server's
-// epoch has already moved past the migration's target (a late
+// handleMigCommit verifies the assembled bundle against its declared
+// identity and installs each entry's summary on the monitor — every
+// stream's tree state afterwards is exactly the old owner's export.
+// Commits are idempotent under the same identity and refused when the
+// server's epoch has already moved past the migration's target (a late
 // duplicate from an aborted driver must not clobber post-cutover
 // state).
 func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
-	name, total, crc, epoch, err := decodeMigCommitFrame(payload)
+	key, total, crc, epoch, err := decodeMigCommitFrame(payload)
 	if err != nil {
 		return err
 	}
@@ -494,7 +565,7 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 	}
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
-	e := s.migLookup(name)
+	e := s.migLookup(key)
 	if e != nil && e.committed && e.crc == crc && e.total == total {
 		bc.wbuf = appendMigStateFrame(bc.wbuf[:0], MigState{Have: total, Total: total, CRC: crc, Committed: true})
 		return s.binWrite(bc)
@@ -503,12 +574,7 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 		s.binError(bc, errMigNoXfer)
 		return nil
 	}
-	sum, err := e.asm.Summary()
-	if err != nil {
-		s.binError(bc, err)
-		return nil
-	}
-	if err := s.monitor.InstallSummary(string(name), sum); err != nil {
+	if err := s.installBundle(e.asm); err != nil {
 		s.binError(bc, err)
 		return nil
 	}
@@ -516,6 +582,37 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 	e.committed = true
 	bc.wbuf = appendMigStateFrame(bc.wbuf[:0], MigState{Have: total, Total: total, CRC: crc, Committed: true})
 	return s.binWrite(bc)
+}
+
+// installBundle verifies a complete assembly's CRC and installs every
+// entry of the bundle it holds, in index order, each decoded just
+// before its install so only one decoded summary is live at a time. An
+// entry that fails to decode or install stops the commit with the
+// entries before it installed: like any install of an uncommitted
+// migration they are inert until a ring routes to them, and a retried
+// commit reinstalls them.
+func (s *Server) installBundle(asm *core.SummaryAssembly) error {
+	xfer, err := asm.Transfer()
+	if err != nil {
+		return err
+	}
+	entries, err := xfer.Entries()
+	if err != nil {
+		return err
+	}
+	for _, en := range entries {
+		if len(en.Name) > maxStreamName {
+			return errStreamName
+		}
+		sum, err := core.DecodeSummary(en.Summary)
+		if err != nil {
+			return fmt.Errorf("wire: bundle entry %q: %w", en.Name, err)
+		}
+		if err := s.monitor.InstallSummary(en.Name, sum); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ── client side ──────────────────────────────────────────────────────
@@ -551,18 +648,33 @@ func (c *BinClient) epochOp(op byte, e uint64) (uint64, error) {
 	return binary.BigEndian.Uint64(body[1:]), nil
 }
 
-// MigRead fetches one chunk of the named stream's exported summary
-// from its (old) owner. offset/crc resume an interrupted transfer
-// (crc 0 with offset 0 starts fresh); max bounds the chunk size (0
-// for the server default). The reply's identity is authoritative: if
-// the returned offset differs from the request, the source restarted
-// the transfer and the caller must reset its assembly to the returned
-// (Total, CRC). Data aliases the client's receive buffer.
+// MigRead fetches one chunk of the named stream's export — a bundle
+// of one — from its (old) owner; see MigReadSet.
 func (c *BinClient) MigRead(name string, offset int64, crc uint32, max int) (MigChunk, error) {
-	if len(name) == 0 || len(name) > maxStreamName {
-		return MigChunk{}, errStreamName
+	return c.MigReadSet([]string{name}, offset, crc, max)
+}
+
+// MigReadSet fetches one chunk of the bundle of the named streams'
+// summaries from their (old) owner. The names must fit one frame
+// (MigReadFit). offset/crc resume an interrupted transfer (crc 0 with
+// offset 0 starts fresh); max bounds the chunk size (0 for the server
+// default). The reply's identity is authoritative: if the returned
+// offset differs from the request, the source restarted the transfer
+// and the caller must reset its assembly to the returned (Total,
+// CRC). Data aliases the client's receive buffer.
+func (c *BinClient) MigReadSet(names []string, offset int64, crc uint32, max int) (MigChunk, error) {
+	if len(names) == 0 {
+		return MigChunk{}, errors.New("wire: migRead of no streams")
 	}
-	c.wbuf = appendMigReadFrame(c.wbuf[:0], name, offset, crc, max)
+	if k := MigReadFit(names); k < len(names) {
+		return MigChunk{}, fmt.Errorf("wire: %d streams do not fit one migRead frame (%d do)", len(names), k)
+	}
+	for _, name := range names {
+		if len(name) == 0 || len(name) > maxStreamName {
+			return MigChunk{}, errStreamName
+		}
+	}
+	c.wbuf = appendMigReadFrame(c.wbuf[:0], names, offset, crc, max)
 	body, err := c.roundTripBin()
 	if err != nil {
 		return MigChunk{}, err
@@ -573,12 +685,12 @@ func (c *BinClient) MigRead(name string, offset int64, crc uint32, max int) (Mig
 	return decodeMigChunkFrame(body[1:])
 }
 
-// MigWrite lands data at offset of the transfer identified by
-// (total, crc) on the new owner and returns its state. An empty data
-// slice probes: it opens or validates the assembly without advancing
-// it. The returned Have is the resume token — the next write belongs
-// at that offset, so a driver that probes before writing never
-// re-sends applied bytes.
+// MigWrite lands data at offset of the bundle identified by (total,
+// crc) under the given key on the new owner and returns its state. An
+// empty data slice probes: it opens or validates the assembly without
+// advancing it. The returned Have is the resume token — the next write
+// belongs at that offset, so a driver resuming after a cut probes
+// before writing and never re-sends applied bytes.
 func (c *BinClient) MigWrite(name string, offset, total int64, crc uint32, data []byte) (MigState, error) {
 	if len(name) == 0 || len(name) > maxStreamName {
 		return MigState{}, errStreamName
@@ -587,7 +699,7 @@ func (c *BinClient) MigWrite(name string, offset, total int64, crc uint32, data 
 	return c.migStateRoundTrip()
 }
 
-// MigStat reads the named stream's transfer state on the new owner;
+// MigStat reads the keyed bundle's transfer state on the new owner;
 // all-zero state means no transfer is known.
 func (c *BinClient) MigStat(name string) (MigState, error) {
 	if len(name) == 0 || len(name) > maxStreamName {
@@ -597,9 +709,9 @@ func (c *BinClient) MigStat(name string) (MigState, error) {
 	return c.migStateRoundTrip()
 }
 
-// MigCommit verifies and installs the completed transfer on the new
-// owner. epoch is the migration's target ring epoch (0 skips the
-// fence). Idempotent under one identity.
+// MigCommit verifies the keyed, completed bundle on the new owner and
+// installs every stream it carries. epoch is the migration's target
+// ring epoch (0 skips the fence). Idempotent under one identity.
 func (c *BinClient) MigCommit(name string, total int64, crc uint32, epoch uint64) (MigState, error) {
 	if len(name) == 0 || len(name) > maxStreamName {
 		return MigState{}, errStreamName

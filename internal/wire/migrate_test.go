@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -153,7 +154,7 @@ func TestMigExportResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.AppendSummary(nil)
+	want := bundleBytes(t, []string{"alpha"}, tr)
 
 	c, err := DialBinary(addr)
 	if err != nil {
@@ -198,7 +199,7 @@ func TestMigExportResume(t *testing.T) {
 	}
 	got, err := xfer.Chunk(0, int(xfer.Len()))
 	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("assembled export differs from the tree's canonical encoding (err=%v)", err)
+		t.Fatalf("assembled export differs from the tree's bundle of one (err=%v)", err)
 	}
 	// A resume under the wrong CRC must restart at zero with the real
 	// identity, not serve bytes from a snapshot the reader doesn't have.
@@ -230,7 +231,10 @@ func TestMigInstallResumeAndCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xfer := core.NewSummaryTransfer(srcTree)
+	xfer, err := core.NewBundleTransfer([]string{"alpha"}, []*core.Tree{srcTree})
+	if err != nil {
+		t.Fatal(err)
+	}
 	total, crc := xfer.Len(), xfer.CRC()
 
 	c, err := DialBinary(dstAddr)
@@ -320,6 +324,120 @@ func TestMigInstallResumeAndCommit(t *testing.T) {
 	}
 }
 
+// bundleBytes encodes the named trees as the bundle a migRead of names
+// exports.
+func bundleBytes(t *testing.T, names []string, trees ...*core.Tree) []byte {
+	t.Helper()
+	xfer, err := core.NewBundleTransfer(names, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := xfer.Chunk(0, int(xfer.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestMigExportSet pins the set export: one migRead names several
+// streams and the chunks carry exactly their bundle; a set naming an
+// unknown stream, or one stream twice, is refused whole with the
+// connection intact; and a different set on the same connection is a
+// fresh snapshot, never the cached one.
+func TestMigExportSet(t *testing.T) {
+	addr, mon, shutdown := startStreamServer(t, multi.Options{WindowSize: 64, Coefficients: 4})
+	defer shutdown()
+	names := []string{"beta", "alpha", "gamma"}
+	var trees []*core.Tree
+	for i, name := range names {
+		feedWarm(t, addr, mon, name, 50+30*i)
+		tr, err := mon.Tree(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	c, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	read := func(names []string) []byte {
+		t.Helper()
+		var asm *core.SummaryAssembly
+		for asm == nil || !asm.Complete() {
+			var off int64
+			var crc uint32
+			if asm != nil {
+				off, crc = asm.Have(), asm.CRC()
+			}
+			ch, err := c.MigReadSet(names, off, crc, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asm == nil {
+				if asm, err = core.NewSummaryAssembly(ch.Total, ch.CRC); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := asm.Append(ch.Offset, ch.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		xfer, err := asm.Transfer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := xfer.Chunk(0, int(xfer.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if got := read(names); !bytes.Equal(got, bundleBytes(t, names, trees...)) {
+		t.Fatal("set export differs from the set's bundle")
+	}
+	if got := read(names[1:]); !bytes.Equal(got, bundleBytes(t, names[1:], trees[1:]...)) {
+		t.Fatal("a second set on the connection was served from the first one's snapshot")
+	}
+	var remote *RemoteError
+	for _, bad := range [][]string{{"alpha", "ghost"}, {"alpha", "alpha"}} {
+		if _, err := c.MigReadSet(bad, 0, 0, 64); !errors.As(err, &remote) {
+			t.Fatalf("export of %q: %v, want remote refusal", bad, err)
+		}
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("connection did not survive the refusals: %v", err)
+	}
+	if _, err := c.MigReadSet(nil, 0, 0, 64); err == nil {
+		t.Fatal("empty set accepted")
+	}
+}
+
+// TestMigReadFit pins the split point of long name sets: MigReadFit
+// counts the names whose frame stays under MaxFrame, and MigReadSet
+// refuses a set past it before sending anything.
+func TestMigReadFit(t *testing.T) {
+	names := make([]string, MaxFrame/(2+maxStreamName)+2)
+	for i := range names {
+		names[i] = fmt.Sprintf("%0*d", maxStreamName, i)
+	}
+	k := MigReadFit(names)
+	if k == 0 || k >= len(names) {
+		t.Fatalf("MigReadFit = %d of %d long names", k, len(names))
+	}
+	if n := len(appendMigReadFrame(nil, names[:k], 0, 0, 0)) - codec.HeaderLen; n > MaxFrame {
+		t.Fatalf("%d names make a %d-byte frame, beyond MaxFrame", k, n)
+	}
+	if n := len(appendMigReadFrame(nil, names[:k+1], 0, 0, 0)) - codec.HeaderLen; n <= MaxFrame {
+		t.Fatalf("%d names still fit one frame (%d bytes), MigReadFit said %d", k+1, n, k)
+	}
+	var c BinClient
+	if _, err := c.MigReadSet(names, 0, 0, 0); err == nil {
+		t.Fatal("MigReadSet accepted a set past MigReadFit")
+	}
+}
+
 // Matches reports whether a MigState carries the given identity (test
 // helper mirroring core.SummaryAssembly.Matches).
 func (st MigState) Matches(total int64, crc uint32) bool {
@@ -341,7 +459,8 @@ func FuzzDecodeMigFrame(f *testing.F) {
 	seeds := [][]byte{
 		appendEpochFrame(nil, 0, 0),
 		appendEpochFrame(nil, 1, 42),
-		appendMigReadFrame(nil, "alpha", 128, 0xDEAD, 64),
+		appendMigReadFrame(nil, []string{"alpha"}, 128, 0xDEAD, 64),
+		appendMigReadFrame(nil, []string{"alpha", "b", "alpha"}, 0, 0, 0),
 		appendMigChunkFrame(nil, 64, 4096, 0xBEEF, []byte("chunk-bytes")),
 		appendMigWriteFrame(nil, "alpha", 0, 4096, 0xBEEF, []byte("payload")),
 		appendMigWriteFrame(nil, "alpha", 64, 4096, 0xBEEF, nil),
@@ -382,11 +501,20 @@ func FuzzDecodeMigFrame(f *testing.F) {
 				reencode(appendEpochFrame(nil, op, e))
 			}
 		case bfMigRead:
-			if name, off, crc, max, err := decodeMigReadFrame(payload); err == nil {
-				if off < 0 || len(name) == 0 {
-					t.Fatalf("accepted migRead off=%d name=%q", off, name)
+			if n, set, off, crc, max, err := decodeMigReadFrame(payload); err == nil {
+				if off < 0 || n == 0 || n > len(set)/3 {
+					t.Fatalf("accepted migRead off=%d n=%d in %d bytes", off, n, len(set))
 				}
-				reencode(appendMigReadFrame(nil, string(name), off, crc, max))
+				names := make([]string, n)
+				rest := set[4:]
+				for i := range names {
+					name, r, err := splitStreamName(rest)
+					if err != nil {
+						t.Fatalf("accepted migRead with a bad name %d: %v", i, err)
+					}
+					names[i], rest = string(name), r
+				}
+				reencode(appendMigReadFrame(nil, names, off, crc, max))
 			}
 		case bfMigChunk:
 			if ch, err := decodeMigChunkFrame(payload); err == nil {

@@ -42,9 +42,10 @@ type Server struct {
 	// Live-resharding state (see migrate.go). epoch is the ring version
 	// this node believes current: stream frames from older epochs are
 	// refused (counted in epochRefusals) so a stale placement cannot
-	// double-count values across owners. mig holds per-stream inbound
-	// summary transfers; it lives on the server, not the connection, so
-	// an interrupted transfer resumes across reconnects.
+	// double-count values across owners. mig holds inbound bundle
+	// transfers by bundle key (one per source node); it lives on the
+	// server, not the connection, so an interrupted transfer resumes
+	// across reconnects.
 	epoch         atomic.Uint64
 	epochRefusals atomic.Uint64
 	migMu         sync.Mutex

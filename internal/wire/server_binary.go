@@ -38,13 +38,14 @@ type binConn struct {
 	shandle streamHandle
 	scached bool
 
-	// Export-side summary-transfer snapshot (see migrate.go): the
-	// stream being served to a migration driver, pinned so successive
-	// migRead chunks come from one consistent encoding. Per connection,
-	// not per server — a reconnecting driver re-snapshots, and the CRC
-	// fence decides whether its resume offset is still valid.
-	expName []byte
-	exp     *core.SummaryTransfer
+	// Export-side bundle snapshot (see migrate.go): the stream set
+	// being served to a migration driver, keyed by its encoded name
+	// list and pinned so successive migRead chunks come from one
+	// consistent encoding. Per connection, not per server — a
+	// reconnecting driver re-snapshots, and the CRC fence decides
+	// whether its resume offset is still valid.
+	expKey []byte
+	exp    *core.SummaryTransfer
 
 	// sub is the connection's standing-query state once it has
 	// subscribed (see subscribe.go), nil before.
