@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -66,6 +67,9 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
+	// Timed lists the columns that hold wall-clock measurements. They
+	// change from run to run, so the golden rendering leaves them out.
+	Timed []int
 }
 
 // AddRow appends a formatted row.
@@ -74,12 +78,33 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // Fprint renders the table with aligned columns.
-func (t *Table) Fprint(w io.Writer) {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+func (t *Table) Fprint(w io.Writer) { t.fprint(w, true) }
+
+// fprint renders the table, leaving out the Timed columns unless
+// timings is set.
+func (t *Table) fprint(w io.Writer, timings bool) {
+	keep := func(cells []string) []string {
+		if timings || len(t.Timed) == 0 {
+			return cells
+		}
+		out := make([]string, 0, len(cells))
+		for i, cell := range cells {
+			if !slices.Contains(t.Timed, i) {
+				out = append(out, cell)
+			}
+		}
+		return out
+	}
+	columns := keep(t.Columns)
+	rows := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = keep(row)
+	}
+	widths := make([]int, len(columns))
+	for i, c := range columns {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
@@ -100,13 +125,13 @@ func (t *Table) Fprint(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %s\n", strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
-	printRow(t.Columns)
-	sep := make([]string, len(t.Columns))
+	printRow(columns)
+	sep := make([]string, len(columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	printRow(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		printRow(row)
 	}
 }
@@ -121,18 +146,30 @@ type Result struct {
 	Tables []*Table
 	// Notes summarize the measured outcome against the paper's claim.
 	Notes []string
+	// TimedNotes are notes computed from wall-clock measurements; like
+	// Timed columns, the golden rendering leaves them out.
+	TimedNotes []string
 }
 
 // Fprint renders the full result.
-func (r *Result) Fprint(w io.Writer) {
+func (r *Result) Fprint(w io.Writer) { r.fprint(w, true) }
+
+// fprint renders the result. Without timings it leaves out every
+// wall-clock cell and note, so the rendering is a pure function of the
+// code and the seeds: that is the form testdata/quick.golden pins.
+func (r *Result) fprint(w io.Writer, timings bool) {
 	fmt.Fprintf(w, "=== %s — %s ===\n", r.ID, r.Description)
 	for _, t := range r.Tables {
 		fmt.Fprintln(w)
-		t.Fprint(w)
+		t.fprint(w, timings)
 	}
-	if len(r.Notes) > 0 {
+	notes := r.Notes
+	if timings {
+		notes = append(notes[:len(notes):len(notes)], r.TimedNotes...)
+	}
+	if len(notes) > 0 {
 		fmt.Fprintln(w)
-		for _, n := range r.Notes {
+		for _, n := range notes {
 			fmt.Fprintf(w, "  note: %s\n", n)
 		}
 	}

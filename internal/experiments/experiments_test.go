@@ -1,6 +1,13 @@
 package experiments
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,14 +130,27 @@ func checkResult(t *testing.T, id string, r *Result) {
 	}
 }
 
-// TestRunAllQuick executes every registered experiment at Quick scale.
-// The histogram-backed figures are the slow ones and are skipped with
-// -short.
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+// goldenPath pins the rendering of every Quick-scale figure. A change
+// that moves a figure says so and commits the regenerated file
+// (go test ./internal/experiments -run TestRunAllQuick -update).
+const goldenPath = "testdata/quick.golden"
+
+// TestRunAllQuick executes every registered experiment at Quick scale
+// and compares each rendering, wall-clock cells left out, byte for byte
+// with its section of testdata/quick.golden. The histogram-backed
+// figures are the slow ones and are skipped with -short; -update keeps
+// the sections of the figures it skips.
 func TestRunAllQuick(t *testing.T) {
 	slow := map[string]bool{
 		"fig5a": true, "fig5b": true, "fig5c": true,
 		"fig5d": true, "fig5e": true, "fig5f": true,
 		"fig6b": true, "sensitivity-querylen": true,
+	}
+	golden, err := readGolden(goldenPath)
+	if err != nil && !(*update && errors.Is(err, fs.ErrNotExist)) {
+		t.Fatal(err)
 	}
 	for _, id := range IDs() {
 		id := id
@@ -143,8 +163,89 @@ func TestRunAllQuick(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkResult(t, id, r)
+			var b strings.Builder
+			r.fprint(&b, false)
+			got := b.String()
+			if *update {
+				golden[id] = got
+				return
+			}
+			want, ok := golden[id]
+			if !ok {
+				t.Fatalf("%s has no section in %s; rerun with -update", id, goldenPath)
+			}
+			if got != want {
+				t.Errorf("%s differs from %s (rerun with -update and commit the file if the change is intended):\n%s",
+					id, goldenPath, firstDiff(want, got))
+			}
 		})
 	}
+	if *update {
+		if err := writeGolden(goldenPath, golden); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readGolden splits the golden file into its per-experiment sections,
+// keyed by ID. Each section is one rendering; sections are separated by
+// a blank line.
+func readGolden(path string) (map[string]string, error) {
+	sections := map[string]string{}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return sections, err
+	}
+	parts := strings.Split(string(data), "\n\n=== ")
+	for i, part := range parts {
+		if i > 0 {
+			part = "=== " + part
+		}
+		if i < len(parts)-1 {
+			part += "\n"
+		}
+		fields := strings.Fields(part)
+		if len(fields) < 2 || fields[0] != "===" {
+			return nil, fmt.Errorf("%s: section %d has no header", path, i)
+		}
+		sections[fields[1]] = part
+	}
+	return sections, nil
+}
+
+// writeGolden writes the sections in ID order, a blank line apart.
+func writeGolden(path string, sections map[string]string) error {
+	ids := make([]string, 0, len(sections))
+	for id := range sections {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = sections[id]
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(path, []byte(strings.Join(out, "\n")), 0o644)
+}
+
+// firstDiff reports the first line where two renderings differ.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
+		}
+	}
+	return "(no line differs)"
 }
 
 // lastCell parses the numeric cell at (row, col) of a table.
