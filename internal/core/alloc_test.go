@@ -44,20 +44,26 @@ func TestUpdateDoesNotAllocate(t *testing.T) {
 }
 
 func TestUpdateBatchDoesNotAllocate(t *testing.T) {
-	for _, opts := range []Options{
-		{WindowSize: 1024},
-		{WindowSize: 1024, Coefficients: 8, MinLevel: 4},
+	for _, c := range []struct {
+		opts  Options
+		batch int
+	}{
+		{Options{WindowSize: 1024}, 64},
+		{Options{WindowSize: 1024, Coefficients: 8, MinLevel: 4}, 64},
+		{Options{WindowSize: 1024}, 256},                     // swatd's ingest shape
+		{Options{WindowSize: 4096, Coefficients: 4}, 256},    // the query-node feeder
+		{Options{WindowSize: 256, Coefficients: 2}, 3 * 256}, // longer than 2N
 	} {
-		tr := warmTree(t, opts)
+		tr := warmTree(t, c.opts)
 		src := stream.Uniform(6)
-		batch := make([]float64, 64)
+		batch := make([]float64, c.batch)
 		if allocs := testing.AllocsPerRun(200, func() {
 			for i := range batch {
 				batch[i] = src.Next()
 			}
 			tr.UpdateBatch(batch)
 		}); allocs != 0 {
-			t.Errorf("%+v: UpdateBatch allocates %v times per batch, want 0", opts, allocs)
+			t.Errorf("%+v, batch %d: UpdateBatch allocates %v times per batch, want 0", c.opts, c.batch, allocs)
 		}
 	}
 }

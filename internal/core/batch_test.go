@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/streamsum/swat/internal/stream"
+	"github.com/streamsum/swat/internal/wavelet"
 )
 
 // TestUpdateBatchMatchesSequential is the batch-equivalence property:
@@ -13,59 +14,176 @@ import (
 // UpdateBatch must leave the tree in bit-identical state to feeding the
 // same values one at a time through Update. State identity is checked
 // through the binary snapshot, which captures every field the update
-// path touches (ring, counters, node validity, birth, coefficients).
+// path touches (ring, counters, node validity, birth, coefficients),
+// and through the canonical summary encoding. Besides fresh trees, the
+// property must hold from every state a tree can be rebuilt into:
+// restored mid-cycle from a snapshot or from a summary with a partial
+// ring, and produced by a skewed merge (several streams, tainted
+// spans).
 func TestUpdateBatchMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	windows := []int{4, 8, 16, 64, 256}
-	for trial := 0; trial < 50; trial++ {
+	windows := []int{4, 8, 16, 64, 256, 1024}
+	randomOpts := func() Options {
 		n := windows[r.Intn(len(windows))]
-		levels := 0
-		for 1<<uint(levels) < n {
-			levels++
-		}
-		opts := Options{
+		return Options{
 			WindowSize:   n,
 			Coefficients: 1 << uint(r.Intn(4)),
-			MinLevel:     r.Intn(levels),
+			MinLevel:     r.Intn(wavelet.Log2(n)),
 		}
-		seq, err := New(opts)
+	}
+	newTree := func(opts Options) *Tree {
+		tr, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bat, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 1 + r.Intn(5*n)
-		values := make([]float64, total)
+		return tr
+	}
+	randomValues := func(count int) []float64 {
+		values := make([]float64, count)
 		for i := range values {
 			values[i] = r.NormFloat64() * 50
 		}
-		for _, v := range values {
-			seq.Update(v)
-		}
-		// Feed the same values in randomly sized batches (including
-		// empty ones) so runs straddle refresh boundaries arbitrarily.
-		for i := 0; i < total; {
-			size := r.Intn(total - i + 1)
+		return values
+	}
+	// feedBoth feeds values to seq one at a time and to bat in randomly
+	// sized batches (an empty one followed by a single Update), so runs
+	// straddle refresh boundaries arbitrarily, and requires identical
+	// state at the end of every batch.
+	feedBoth := func(t *testing.T, seq, bat *Tree, values []float64) {
+		t.Helper()
+		for i := 0; i < len(values); {
+			size := r.Intn(len(values) - i + 1)
 			bat.UpdateBatch(values[i : i+size])
-			i += size
 			if size == 0 {
 				bat.Update(values[i])
-				i++
+				size = 1
+			}
+			for _, v := range values[i : i+size] {
+				seq.Update(v)
+			}
+			i += size
+			requireSameState(t, seq, bat)
+		}
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		for trial := 0; trial < 50; trial++ {
+			opts := randomOpts()
+			feedBoth(t, newTree(opts), newTree(opts), randomValues(1+r.Intn(5*opts.WindowSize)))
+		}
+	})
+
+	t.Run("restored", func(t *testing.T) {
+		for trial := 0; trial < 30; trial++ {
+			opts := randomOpts()
+			ring := 1 << uint(opts.MinLevel+1)
+			// Even trials stop before the raw ring has filled; odd ones
+			// past warm-up. Either way the source stops between two of
+			// the finest level's refreshes whenever MinLevel > 0.
+			pre := 1 + r.Intn(ring-1)
+			if trial%2 == 1 {
+				pre = ring + r.Intn(3*opts.WindowSize)
+				if opts.MinLevel > 0 && pre%(ring/2) == 0 {
+					pre++
+				}
+			}
+			src := newTree(opts)
+			src.UpdateBatch(randomValues(pre))
+			snap, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			values := randomValues(1 + r.Intn(5*opts.WindowSize))
+			var seq, bat Tree
+			if err := seq.UnmarshalBinary(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := bat.UnmarshalBinary(snap); err != nil {
+				t.Fatal(err)
+			}
+			feedBoth(t, &seq, &bat, values)
+
+			sum := src.Export()
+			if trial%2 == 0 && len(sum.Ring) >= ring {
+				t.Fatalf("trial %d: summary ring holds %d of %d values, want a partial ring", trial, len(sum.Ring), ring)
+			}
+			fseq, err := FromSummary(sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fbat, err := FromSummary(sum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedBoth(t, fseq, fbat, values)
+		}
+	})
+
+	t.Run("merged", func(t *testing.T) {
+		mo := MergeOptions{ValueLo: -200, ValueHi: 200}
+		for trial := 0; trial < 20; trial++ {
+			opts := randomOpts()
+			a, b := newTree(opts), newTree(opts)
+			a.UpdateBatch(randomValues(1 + r.Intn(3*opts.WindowSize)))
+			// b runs ahead of a, so the merge fast-forwards a over
+			// synthetic midpoints and taints them.
+			b.UpdateBatch(randomValues(int(a.Arrivals()) + 1 + r.Intn(opts.WindowSize)))
+			seq, err := MergedTree(a, b, mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bat, err := MergedTree(a, b, mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Streams() != 2 || len(seq.TaintSpans()) == 0 {
+				t.Fatalf("trial %d: merged tree has %d streams and %d taint spans, want 2 and some",
+					trial, seq.Streams(), len(seq.TaintSpans()))
+			}
+			feedBoth(t, seq, bat, randomValues(1+r.Intn(5*opts.WindowSize)))
+		}
+	})
+}
+
+// TestRefreshKernels pins the two direct refresh kernels to the wavelet
+// calls they replace, bit for bit, and at 0 allocations: fillPair to
+// AveragesInPlace over a level-0 segment, combineOne to
+// CombineAveragesInto with one coefficient per node.
+func TestRefreshKernels(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pair, want := make([]float64, 2), make([]float64, 2)
+	for i := 0; i < 2000; i++ {
+		a := r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+		b := r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
+		for _, k := range []int{1, 2, 4} {
+			dst := pair[:min(k, 2)]
+			fillPair(dst, a, b)
+			seg := []float64{a, b}
+			res, err := wavelet.AveragesInPlace(seg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range res {
+				if math.Float64bits(dst[j]) != math.Float64bits(res[j]) {
+					t.Fatalf("fillPair(%v, %v) k=%d = %v, AveragesInPlace = %v", a, b, k, dst, res)
+				}
 			}
 		}
-		sb, err := seq.MarshalBinary()
+		combineOne(pair[:1], []float64{a}, []float64{b})
+		res, err := wavelet.CombineAveragesInto(want, []float64{a}, []float64{b}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := bat.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if math.Float64bits(pair[0]) != math.Float64bits(res[0]) {
+			t.Fatalf("combineOne(%v, %v) = %v, CombineAveragesInto = %v", a, b, pair[0], res[0])
 		}
-		if !bytes.Equal(sb, bb) {
-			t.Fatalf("trial %d %+v after %d arrivals: batch state diverges from sequential state", trial, opts, total)
-		}
+	}
+	newer, older := []float64{1.5}, []float64{-0.25}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fillPair(pair, 3, 4)
+		combineOne(pair[:1], newer, older)
+	}); allocs != 0 {
+		t.Errorf("fillPair + combineOne allocate %v times, want 0", allocs)
 	}
 }
 

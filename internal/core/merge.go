@@ -404,9 +404,7 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 			// Unreachable: s was validated by the merge entry point.
 			return nil, err
 		}
-		for i := int64(0); i < d; i++ {
-			st.update(mid)
-		}
+		st.feedConstant(mid, d)
 		from = s.Arrivals + 1
 	} else {
 		st, _ = newState(Options{
@@ -420,9 +418,7 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 		// Keep the ring head where a tree that grew here naturally
 		// would hold it, preserving the canonical encoding.
 		st.recentHead = int(uint64(st.arrivals) & uint64(st.recentMask))
-		for i := int64(0); i < warm; i++ {
-			st.update(mid)
-		}
+		st.feedConstant(mid, warm)
 		from = target - warm + 1
 	}
 	out := st.exportSummary(nil)
@@ -430,6 +426,20 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 		out.Taint = append(out.Taint, TaintSpan{From: from, To: target, Half: half})
 	}
 	return out, nil
+}
+
+// feedConstant feeds count copies of v through the batch path, a
+// fixed-size chunk at a time.
+func (t *treeState) feedConstant(v float64, count int64) {
+	var chunk [256]float64
+	for i := range chunk {
+		chunk[i] = v
+	}
+	for count > 0 {
+		n := min(count, int64(len(chunk)))
+		t.updateBatch(chunk[:n])
+		count -= n
+	}
 }
 
 // addAligned adds b into a, two summaries of identical geometry and

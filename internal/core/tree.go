@@ -18,7 +18,8 @@
 // pre-sized coefficient buffer, the L ← S ← R shift rotates the three
 // buffers of a level pointer-wise instead of copying, and the raw
 // segment feeding the finest level is gathered into a per-tree scratch
-// slice reduced in place.
+// slice reduced in place. Within a batch (UpdateBatch) only the node
+// contents the batch's end leaves observable are computed.
 //
 // # Reader/writer discipline
 //
@@ -363,44 +364,35 @@ func (t *treeState) ready() bool {
 // Update consumes the next stream value, refreshing every level l with
 // 2^l dividing the new arrival count (paper Fig. 3(a)). The shift chain
 // L ← S ← R runs before R is recomputed from the already-refreshed
-// children of the level below. The path is allocation-free; it takes
-// the writer lock, so it excludes concurrent queries for its (O(k)
-// amortized) duration.
+// children of the level below. Update is UpdateBatch over a batch of
+// one, where every due refresh is observable and so computed. The path
+// is allocation-free; it takes the writer lock, so it excludes
+// concurrent queries for its (O(k) amortized) duration.
 //
 //swat:noalloc
 func (t *Tree) Update(v float64) {
+	vs := [1]float64{v}
 	t.mu.Lock()
-	t.update(v)
+	t.updateBatch(vs[:])
 	t.mu.Unlock()
 }
 
-//swat:noalloc
-func (t *treeState) update(v float64) {
-	// Record the raw value in the ring feeding the finest level.
-	t.recentHead = (t.recentHead + 1) & t.recentMask
-	t.recent[t.recentHead] = v
-	if t.recentLen < len(t.recent) {
-		t.recentLen++
-	}
-
-	t.arrivals++
-	t.generation++
-	maxLevel := bits.TrailingZeros64(uint64(t.arrivals))
-	if maxLevel > t.levels-1 {
-		maxLevel = t.levels - 1
-	}
-	for l := t.minLevel; l <= maxLevel; l++ {
-		t.refreshLevel(l)
-	}
-}
-
-// UpdateBatch consumes values in arrival order. It is equivalent to
-// calling Update once per value — the resulting tree state is
-// bit-identical — but amortizes per-arrival bookkeeping: for reduced
-// trees (MinLevel > 0) the arrivals between two refresh boundaries
-// touch only the raw ring and are written in bulk runs, and the writer
-// lock is taken once for the whole batch, so concurrent queries observe
-// the batch atomically (entirely applied or not at all).
+// UpdateBatch consumes values in arrival order. The resulting tree
+// state is bit-identical to calling Update once per value, but the
+// writer lock is taken once for the whole batch, so concurrent queries
+// observe the batch atomically (entirely applied or not at all), and
+// only the batch's end state is observable. UpdateBatch uses that to
+// skip work no reader can see, for every MinLevel:
+//
+//   - arrivals strictly between two refresh boundaries (multiples of
+//     2^MinLevel) touch only the raw ring and are written in bulk runs;
+//   - a level-l refresh at arrival t still shifts L ← S ← R and stamps
+//     R's birth (counted in NodeUpdates), but computes R's coefficients
+//     only if a later reader exists: level l+1 reads it when 2^(l+1)
+//     divides t, and level l's final R, S and L are its last three
+//     refreshes, all within 3·2^l arrivals of the batch's end.
+//
+// At MinLevel 0 that roughly halves the coefficient work per value.
 //
 //swat:noalloc
 func (t *Tree) UpdateBatch(vs []float64) {
@@ -411,57 +403,67 @@ func (t *Tree) UpdateBatch(vs []float64) {
 
 //swat:noalloc
 func (t *treeState) updateBatch(vs []float64) {
-	if t.minLevel == 0 {
-		// Level 0 refreshes on every arrival; nothing to skip.
-		for _, v := range vs {
-			t.update(v)
+	end := t.arrivals + int64(len(vs))
+	mask := 1<<uint(t.minLevel) - 1
+	for len(vs) > 0 {
+		// The arrivals up to the next refresh boundary only feed the
+		// ring; the boundary's refresh follows them.
+		run := mask + 1 - int(t.arrivals)&mask
+		if run > len(vs) {
+			run = len(vs)
 		}
-		return
-	}
-	period := int64(1) << uint(t.minLevel)
-	i := 0
-	for i < len(vs) {
-		// Arrivals strictly before the next refresh boundary only feed
-		// the ring.
-		if run := int(period-1) - int(t.arrivals%period); run > 0 {
-			if rest := len(vs) - i; run > rest {
-				run = rest
-			}
-			head := t.recentHead
-			for _, v := range vs[i : i+run] {
-				head = (head + 1) & t.recentMask
-				t.recent[head] = v
-			}
-			t.recentHead = head
-			if t.recentLen += run; t.recentLen > len(t.recent) {
-				t.recentLen = len(t.recent)
-			}
-			t.arrivals += int64(run)
-			t.generation += uint64(run)
-			i += run
-			if i == len(vs) {
-				return
-			}
+		head := t.recentHead
+		for _, v := range vs[:run] {
+			head = (head + 1) & t.recentMask
+			t.recent[head] = v
 		}
-		t.update(vs[i])
-		i++
+		t.recentHead = head
+		if t.recentLen += run; t.recentLen > len(t.recent) {
+			t.recentLen = len(t.recent)
+		}
+		t.arrivals += int64(run)
+		t.generation += uint64(run)
+		vs = vs[run:]
+		if int(t.arrivals)&mask == 0 {
+			t.refresh(end)
+		}
 	}
 }
 
-// refreshLevel rotates the level's three coefficient buffers along the
-// L ← S ← R shift (the buffer falling off L becomes R's write target)
-// and recomputes R for the current arrival.
-func (t *treeState) refreshLevel(l int) {
-	lv := &t.nodes[l]
-	if l < t.levels-1 {
-		spare := lv[Left].coeffs
-		lv[Left] = lv[Shift]
-		lv[Shift] = lv[Right]
-		lv[Right].coeffs = spare
+// refresh runs the level refreshes due at the current arrival, a
+// multiple of 2^minLevel, in a batch that ends at arrival end. Every
+// due level shifts L ← S ← R and stamps R's birth; R's coefficients
+// are computed only when some reader can see them (see UpdateBatch).
+// The one refresh that can go unread is that of level tz, the
+// arrival's highest when 2^(tz+1) does not divide it: its parent never
+// reads it, so it is skipped unless it lands within 3·2^tz arrivals of
+// end. A skipped R is marked invalid; it is shifted out of the level
+// before anything reads it.
+func (t *treeState) refresh(end int64) {
+	tz := bits.TrailingZeros64(uint64(t.arrivals))
+	top := tz
+	if top > t.levels-1 {
+		top = t.levels - 1
 	}
-	lv[Right].birth = t.arrivals
-	lv[Right].valid = t.fillRight(l, lv[Right].coeffs)
-	t.nodeUpdates++
+	left := end - t.arrivals
+	t.nodeUpdates += uint64(top - t.minLevel + 1)
+	for l := t.minLevel; l <= top; l++ {
+		lv := &t.nodes[l]
+		if l < t.levels-1 {
+			// The buffer falling off L becomes R's write target.
+			spare := lv[Left].coeffs
+			lv[Left] = lv[Shift]
+			lv[Shift] = lv[Right]
+			lv[Right].coeffs = spare
+		}
+		nd := &lv[Right]
+		nd.birth = t.arrivals
+		if l < tz || left < int64(3)<<uint(l) {
+			nd.valid = t.fillRight(l, nd.coeffs)
+		} else {
+			nd.valid = false
+		}
+	}
 }
 
 // fillRight computes the new contents of R_l into dst (the node's fixed
@@ -472,6 +474,10 @@ func (t *treeState) fillRight(l int, dst []float64) bool {
 		seg := len(t.rawScratch) // == segLen(minLevel) == ring size
 		if t.recentLen < seg {
 			return false
+		}
+		if seg == 2 {
+			fillPair(dst, t.ringAt(0), t.ringAt(1))
+			return true
 		}
 		for age := 0; age < seg; age++ {
 			t.rawScratch[age] = t.ringAt(age)
@@ -489,6 +495,10 @@ func (t *treeState) fillRight(l int, dst []float64) bool {
 	if !newer.valid || !older.valid {
 		return false
 	}
+	if len(dst) == 1 {
+		combineOne(dst, newer.coeffs, older.coeffs)
+		return true
+	}
 	// The combine reads the children's buffers and writes this level's —
 	// distinct allocations, so no aliasing. The result always fills dst
 	// exactly: coeffLen is non-decreasing in the level.
@@ -496,6 +506,28 @@ func (t *treeState) fillRight(l int, dst []float64) bool {
 		panic(fmt.Sprintf("core: combining children: %v", err))
 	}
 	return true
+}
+
+// fillPair writes a level-0 node from its two raw values, newest
+// first: their mean when the node keeps one coefficient (the single
+// pairwise pass of wavelet.AveragesInPlace), else the values themselves.
+//
+//swat:noalloc
+func fillPair(dst []float64, newer, older float64) {
+	if len(dst) == 1 {
+		dst[0] = (newer + older) / 2
+		return
+	}
+	dst[0], dst[1] = newer, older
+}
+
+// combineOne is wavelet.CombineAveragesInto for one coefficient per
+// child and per parent: the mean of the two children's means, the same
+// floating-point operation.
+//
+//swat:noalloc
+func combineOne(dst, newer, older []float64) {
+	dst[0] = (newer[0] + older[0]) / 2
 }
 
 // NodeInfo is a read-only snapshot of one tree node, for introspection,
