@@ -26,9 +26,12 @@ import (
 // and, once dropping, reads the next request and closes the connection
 // without forwarding it — a node that took the request and died.
 // filter, when set, sees every request body before it is counted;
-// returning false drops that request the same way.
+// returning false drops that request the same way. Each new connection
+// dials the current upstream, so swapping it brings a restarted node
+// back at the same address.
 type frameProxy struct {
 	addr     string
+	upstream atomic.Pointer[string]
 	requests atomic.Int64
 	drop     atomic.Bool
 	filter   atomic.Pointer[func(body []byte) bool]
@@ -45,6 +48,7 @@ func startFrameProxy(t *testing.T, upstream string) *frameProxy {
 		t.Fatal(err)
 	}
 	p := &frameProxy{addr: ln.Addr().String()}
+	p.upstream.Store(&upstream)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
@@ -53,7 +57,7 @@ func startFrameProxy(t *testing.T, upstream string) *frameProxy {
 			if err != nil {
 				return
 			}
-			up, err := net.Dial("tcp", upstream)
+			up, err := net.Dial("tcp", *p.upstream.Load())
 			if err != nil {
 				down.Close()
 				continue

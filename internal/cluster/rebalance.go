@@ -30,10 +30,12 @@ package cluster
 //
 // Values raced into an old owner between its export and its fence are
 // not transferred; they remain counted in this client's sent registry,
-// so roll-ups advance the new owner's summary with tainted midpoints
-// that cover exactly that gap — the never-lying degradation the rest
-// of the system already provides. Callers who cannot tolerate even
-// that taint quiesce ingest to moved streams around the Rebalance (the
+// so roll-ups advance the new owner's summary with tainted midpoints.
+// That taint covers the gap only while the raced values are the
+// stream's newest: once later values land on the new owner, the gap
+// lies behind them and the same mechanism would answer them at the
+// wrong ages (ROADMAP: mid-stream gaps break arrival alignment).
+// Callers quiesce ingest to moved streams around the Rebalance (the
 // netsim migration harness buffers client-side and replays after the
 // flip).
 

@@ -1,0 +1,589 @@
+package cluster
+
+// Fault timelines over the shipped gather path. Each row scripts
+// ingest, faults and probes against real wire.Server + multi.Monitor
+// nodes, each behind a frameProxy, so every layer runs: the client's
+// pools and their retries, the v2 codec, server dispatch and the
+// owners' multi.Monitor.FoldSummary. Faults enter at the connection:
+// a partition makes a node's proxy drop every request, a crash stops
+// the node, a restart starts a fresh, empty node behind the same proxy
+// address, and a rebalance adds the spare proxied node to the ring.
+//
+// Every probe runs the real RollUp and PointAll and scores them
+// against fault-free twins: one tree fed the per-row sums of every
+// generated row, rows the faults ate included, and one tree per
+// stream fed all of its values.
+//   - RollUp errs exactly when fewer than a quorum of owners are
+//     reachable. Otherwise NodesOK and Missing are what the harness
+//     expects, and at every age 0..N−1 the answer lies within its bound
+//     of the twin's.
+//   - PointAll at ages 0, N/2 and N−1 degrades exactly the streams of
+//     unreachable owners. Every other answer is its owner tree's
+//     BoundedPoint, and, while the owner holds every value sent, the
+//     stream twin's too.
+// A miss of either twin is a lie. Each probe renders one canonical
+// line, so a replay can compare records byte for byte.
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/streamsum/swat/internal/core"
+)
+
+// faultFleet is three proxied members, plus an optional spare for a
+// rebalance to add. The proxies keep their addresses, and so the ring
+// its placement, across crashes, restarts and replays.
+type faultFleet struct {
+	cfg     Config
+	addrs   []string // the members sorted, then the spare
+	nodes   map[string]*testNode
+	proxies map[string]*frameProxy
+}
+
+func startFaultFleet(t *testing.T, spare bool) *faultFleet {
+	t.Helper()
+	cfg, nodes, proxies := proxiedFleet(t, 3)
+	sort.Strings(cfg.Nodes)
+	f := &faultFleet{cfg: cfg, addrs: append([]string(nil), cfg.Nodes...), nodes: nodes, proxies: proxies}
+	if spare {
+		n := startTestNode(t)
+		p := startFrameProxy(t, n.addr)
+		f.nodes[p.addr], f.proxies[p.addr] = n, p
+		f.addrs = append(f.addrs, p.addr)
+	}
+	return f
+}
+
+// restart replaces addr's node with a fresh, empty one.
+func (f *faultFleet) restart(t *testing.T, addr string) {
+	f.nodes[addr].stop()
+	n := startTestNode(t)
+	f.proxies[addr].upstream.Store(&n.addr)
+	f.nodes[addr] = n
+}
+
+// reachable reports whether addr's node is up and not partitioned.
+func (f *faultFleet) reachable(addr string) bool {
+	return f.nodes[addr].mon != nil && !f.proxies[addr].drop.Load()
+}
+
+// lie is one answer that missed its fault-free twin by more than its
+// bound (or, for a point, differed from it where it must be exact).
+type lie struct {
+	probe, age int
+	stream     string // "" for the roll-up
+}
+
+// probeRecord is what one probe saw, for the rows' own assertions.
+type probeRecord struct {
+	line                string
+	quorumErr           bool // RollUp and every PointAll refused
+	nodesOK, nodesTotal int
+	missing, degraded   []string
+	maxBound            float64 // the roll-up's widest bound over every age
+	maxLag              int64   // the most values any owner lacks of those sent
+}
+
+// timeline is one run of a row's steps over a fault fleet.
+type timeline struct {
+	t       *testing.T
+	f       *faultFleet
+	c       *Client
+	streams []string
+	index   map[string]int
+	newRing *Ring // the ring with the spare, when there is one
+	warmAt  int64 // arrivals before an owner folds a stream
+	rows    int
+	applied []int64      // per stream: values its current owner holds
+	sums    *core.Tree   // fed the per-row sums of every generated row
+	twins   []*core.Tree // per stream, fed every value generated
+	probes  []probeRecord
+	lies    []lie
+}
+
+// runTimeline runs steps — "ship n", "partition i", "heal i",
+// "crash i", "restart i", "rebalance" (add the spare) and "probe" — on
+// a fresh client over f. i indexes f.addrs.
+func runTimeline(t *testing.T, f *faultFleet, steps []string) *timeline {
+	t.Helper()
+	c, err := New(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tl := &timeline{t: t, f: f, c: c, index: map[string]int{}}
+	tl.streams = spreadStreams(t, c, 12)
+	if len(f.addrs) > len(f.cfg.Nodes) {
+		spare := f.addrs[len(f.addrs)-1]
+		if tl.newRing, err = c.Ring().WithNode(spare); err != nil {
+			t.Fatal(err)
+		}
+		tl.streams = append(tl.streams, movers(t, c.Ring(), tl.newRing, spare, 3)...)
+	}
+	if tl.sums, err = core.New(testGeometry); err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range tl.streams {
+		tl.index[s] = j
+		tw, err := core.New(testGeometry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl.twins = append(tl.twins, tw)
+	}
+	tl.applied = make([]int64, len(tl.streams))
+	warm, err := core.New(testGeometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for folds := false; !folds; { // every node valid, as multi's fold demands
+		warm.Update(0)
+		folds = true
+		for _, nd := range warm.Export().Nodes {
+			folds = folds && nd.Valid
+		}
+	}
+	tl.warmAt = warm.Arrivals()
+
+	for _, st := range steps {
+		var op string
+		var arg int
+		fmt.Sscan(st, &op, &arg)
+		var addr string
+		if arg < len(f.addrs) {
+			addr = f.addrs[arg]
+		}
+		switch op {
+		case "ship":
+			tl.ship(arg)
+		case "partition":
+			f.proxies[addr].drop.Store(true)
+		case "heal":
+			f.proxies[addr].drop.Store(false)
+		case "crash":
+			f.nodes[addr].stop()
+		case "restart":
+			f.restart(t, addr)
+			for j, s := range tl.streams {
+				if c.Owner(s) == addr {
+					tl.applied[j] = 0
+				}
+			}
+		case "rebalance":
+			tl.rebalance()
+		case "probe":
+			tl.probe()
+		default:
+			t.Fatalf("unknown step %q", st)
+		}
+	}
+	return tl
+}
+
+// ship generates n rows, feeds the twins every value, and ships them
+// through the client. Under faults ObserveBatch and Sync fail; a value
+// counts as sent once it is framed on a held connection, and it
+// arrives exactly when that connection survives Sync. ship then waits
+// until every live owner holds exactly what arrived.
+func (tl *timeline) ship(n int) {
+	t := tl.t
+	batches := make([]Batch, len(tl.streams))
+	before := make([]int64, len(tl.streams))
+	sums := make([]float64, n)
+	for j, s := range tl.streams {
+		col := make([]float64, n)
+		for i := range col {
+			col[i] = float64(((tl.rows+i)*31 + j*17) % 101) // in [0,100]
+			sums[i] += col[i]
+		}
+		tl.twins[j].UpdateBatch(col)
+		batches[j] = Batch{Stream: s, Values: col}
+		before[j] = tl.c.Sent(s)
+	}
+	tl.sums.UpdateBatch(sums)
+	tl.rows += n
+	obsErr := tl.c.ObserveBatch(batches)
+	syncErr := tl.c.Sync()
+
+	var unsent, lost bool
+	for j, s := range tl.streams {
+		owner := tl.c.Owner(s)
+		switch sent := tl.c.Sent(s) - before[j]; {
+		case sent == 0:
+			unsent = true
+		case sent != int64(n):
+			t.Fatalf("stream %q: %d of %d values counted as sent", s, sent, n)
+		case tl.feedHeld(owner):
+			if !tl.f.reachable(owner) {
+				t.Fatalf("stream %q: Sync kept a connection to unreachable %s", s, owner)
+			}
+			tl.applied[j] += int64(n)
+		default:
+			lost = true
+		}
+	}
+	if (obsErr != nil) != unsent || (syncErr != nil) != lost {
+		t.Fatalf("ObserveBatch err %v with streams unsent: %v; Sync err %v with sent values lost: %v", obsErr, unsent, syncErr, lost)
+	}
+	tl.awaitApplied()
+}
+
+// feedHeld reports whether the client still holds addr's ingest
+// connection: Sync discards it exactly when its ping fails.
+func (tl *timeline) feedHeld(addr string) bool {
+	n := tl.c.pl.Load().nodes[addr]
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.feed != nil
+}
+
+// awaitApplied waits until every live owner holds exactly the values
+// the harness expects of it.
+func (tl *timeline) awaitApplied() {
+	t := tl.t
+	for j, s := range tl.streams {
+		owner := tl.c.Owner(s)
+		mon := tl.f.nodes[owner].mon
+		if mon == nil {
+			continue // crashed
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			var got int64
+			if tr, err := mon.Tree(s); err == nil {
+				got = tr.Arrivals()
+			}
+			if got == tl.applied[j] {
+				break
+			}
+			if got > tl.applied[j] || time.Now().After(deadline) {
+				t.Fatalf("stream %q: owner %s holds %d values, want %d", s, owner, got, tl.applied[j])
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// rebalance moves the client onto the ring with the spare.
+func (tl *timeline) rebalance() {
+	t := tl.t
+	if tl.newRing == nil {
+		t.Fatal("rebalance without a spare")
+	}
+	report, err := tl.c.Rebalance(tl.newRing, RebalanceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Moves) == 0 || len(report.Unfenced) != 0 {
+		t.Fatalf("rebalance moved %d streams, left %v unfenced", len(report.Moves), report.Unfenced)
+	}
+	for _, mv := range report.Moves {
+		if mv.Cold {
+			t.Fatalf("move %+v went cold", mv)
+		}
+	}
+}
+
+// probe runs both gathers, checks them against the harness's
+// expectation and the twins, and renders the probe's line.
+func (tl *timeline) probe() {
+	t, c := tl.t, tl.c
+	n := testGeometry.WindowSize
+	ring := c.Ring()
+	rec := probeRecord{quorumErr: true}
+	owners := map[string]bool{}
+	for _, s := range tl.streams {
+		owners[ring.Owner(s)] = true
+	}
+	reachable := 0
+	for a := range owners {
+		if tl.f.reachable(a) {
+			reachable++
+		}
+	}
+	belowQuorum := reachable < len(owners)/2+1
+	var wantMissing, wantDegraded []string
+	for j, s := range tl.streams {
+		switch {
+		case !tl.f.reachable(ring.Owner(s)):
+			wantDegraded = append(wantDegraded, s)
+			wantMissing = append(wantMissing, s)
+		case tl.applied[j] < tl.warmAt:
+			wantMissing = append(wantMissing, s) // refused: unknown or cold
+		}
+		rec.maxLag = max(rec.maxLag, c.Sent(s)-tl.applied[j])
+	}
+	sort.Strings(wantMissing)
+	sort.Strings(wantDegraded)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "probe %d rows=%d", len(tl.probes), tl.rows)
+	lied := func(age int, stream, format string, args ...any) {
+		tl.lies = append(tl.lies, lie{probe: len(tl.probes), age: age, stream: stream})
+		fmt.Fprintf(&b, " LIE "+format, args...)
+	}
+
+	ru, err := c.RollUp()
+	if (err != nil) != belowQuorum {
+		t.Errorf("probe %d: RollUp err = %v with %d of %d owners reachable", len(tl.probes), err, reachable, len(owners))
+	}
+	if err != nil {
+		fmt.Fprintf(&b, " | rollup: %v", err)
+	} else {
+		rec.quorumErr = false
+		rec.nodesOK, rec.nodesTotal, rec.missing = ru.NodesOK, ru.NodesTotal, ru.Missing
+		if ru.NodesOK != reachable || ru.NodesTotal != len(owners) || !reflect.DeepEqual(ru.Missing, wantMissing) || ru.Streams != len(tl.streams) {
+			t.Errorf("probe %d: roll-up %d/%d nodes, %d streams, missing %v; want %d/%d, %d, %v",
+				len(tl.probes), ru.NodesOK, ru.NodesTotal, ru.Streams, ru.Missing, reachable, len(owners), len(tl.streams), wantMissing)
+		}
+		fmt.Fprintf(&b, " | rollup %d/%d missing=%v:", ru.NodesOK, ru.NodesTotal, ru.Missing)
+		for age := 0; age < n; age++ {
+			gv, gb, err := ru.Tree.BoundedPoint(age)
+			if err != nil {
+				t.Fatalf("probe %d: roll-up age %d: %v", len(tl.probes), age, err)
+			}
+			tv, _, err := tl.sums.BoundedPoint(age)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, " %g±%g", gv, gb)
+			rec.maxBound = max(rec.maxBound, gb)
+			if math.Abs(gv-tv) > gb+1e-9 {
+				lied(age, "", "age %d twin %g;", age, tv)
+			}
+		}
+	}
+
+	for _, age := range []int{0, n / 2, n - 1} {
+		all, err := c.PointAll(age)
+		if (err != nil) != belowQuorum {
+			t.Errorf("probe %d: PointAll(%d) err = %v with %d of %d owners reachable", len(tl.probes), age, err, reachable, len(owners))
+		}
+		rec.quorumErr = rec.quorumErr && err != nil
+		fmt.Fprintf(&b, " | points@%d", age)
+		if err != nil {
+			fmt.Fprintf(&b, " (%v)", err)
+		}
+		var degraded []string
+		for _, a := range all {
+			fmt.Fprintf(&b, " %s", tl.checkPoint(a, age, lied))
+			if a.Degraded {
+				degraded = append(degraded, a.Stream)
+			}
+		}
+		if !reflect.DeepEqual(degraded, wantDegraded) {
+			t.Errorf("probe %d: PointAll(%d) degraded %v, want %v", len(tl.probes), age, degraded, wantDegraded)
+		}
+		if age == 0 {
+			rec.degraded = degraded
+		}
+	}
+	rec.line = b.String()
+	tl.probes = append(tl.probes, rec)
+}
+
+// checkPoint checks one PointAll answer and renders it: a degraded
+// answer must cover the stream twin; any other is the owner tree's own
+// BoundedPoint, which must equal the twin's while the owner holds
+// every value sent.
+func (tl *timeline) checkPoint(a PointAnswer, age int, lied func(int, string, string, ...any)) string {
+	t := tl.t
+	j, ok := tl.index[a.Stream]
+	if !ok {
+		t.Fatalf("PointAll answered unknown stream %q", a.Stream)
+	}
+	tv, tb, err := tl.twins[j].BoundedPoint(age)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Degraded {
+		if math.Abs(a.Value-tv) > a.Bound+1e-9 {
+			lied(age, a.Stream, "%s@%d: %g±%g twin %g;", a.Stream, age, a.Value, a.Bound, tv)
+		}
+		return "deg"
+	}
+	owner := tl.c.Owner(a.Stream)
+	mon := tl.f.nodes[owner].mon
+	if mon == nil {
+		t.Errorf("stream %q answered %+v from crashed %s", a.Stream, a, owner)
+		return "?"
+	}
+	tr, err := mon.Tree(a.Stream)
+	var v, bd float64
+	if err == nil {
+		v, bd, err = tr.BoundedPoint(age)
+	}
+	if err != nil {
+		if a.Err == nil || a.Node != owner {
+			t.Errorf("stream %q answered %+v; its owner %s refuses: %v", a.Stream, a, owner, err)
+		}
+		return "refused"
+	}
+	if a.Err != nil || a.Node != owner || a.Value != v || a.Bound != bd || a.Arrivals != tr.Arrivals() {
+		t.Errorf("stream %q answered %+v; owner %s says %g±%g at %d arrivals", a.Stream, a, owner, v, bd, tr.Arrivals())
+	}
+	if a.Arrivals == tl.c.Sent(a.Stream) && (a.Value != tv || a.Bound != tb) {
+		lied(age, a.Stream, "%s@%d: %g±%g twin %g±%g;", a.Stream, age, a.Value, a.Bound, tv, tb)
+	}
+	return fmt.Sprintf("%g±%g/%d", a.Value, a.Bound, a.Arrivals)
+}
+
+// records joins a run's probe lines.
+func (tl *timeline) records() string {
+	var b strings.Builder
+	for _, p := range tl.probes {
+		b.WriteString(p.line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestFaultTimelines runs each row's timeline over its own fault fleet
+// and holds it to the never-lying contract above: zero lies, except on
+// the row that pins a known defect, which must still lie where it
+// does. Node indices are ring order.
+func TestFaultTimelines(t *testing.T) {
+	n := testGeometry.WindowSize
+	healthyAt := func(t *testing.T, p probeRecord) {
+		t.Helper()
+		if p.quorumErr || p.nodesOK != 3 || p.nodesTotal != 3 || len(p.missing) != 0 || len(p.degraded) != 0 {
+			t.Errorf("want every node answering, nothing missing: %s", p.line)
+		}
+	}
+	exactAt := func(t *testing.T, p probeRecord) {
+		t.Helper()
+		healthyAt(t, p)
+		if p.maxBound != 0 || p.maxLag != 0 {
+			t.Errorf("want bound 0 at every age, no owner lagging: %s", p.line)
+		}
+	}
+	rows := []struct {
+		name  string
+		spare bool
+		steps []string
+		// replay runs the timeline twice, demanding equal records.
+		replay bool
+		// knownLie marks a row pinning a defect: it must lie (see
+		// check for where), every other row must not.
+		knownLie bool
+		check    func(t *testing.T, tl *timeline)
+	}{{
+		name:  "healthy",
+		steps: []string{"ship 40", "probe", "ship 10", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			for _, p := range tl.probes {
+				exactAt(t, p)
+			}
+		},
+	}, {
+		name:  "partition",
+		steps: []string{"ship 40", "probe", "partition 0", "ship 10", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			exactAt(t, tl.probes[0])
+			p := tl.probes[1]
+			victim := streamsOn(tl.c, tl.f.addrs[0], tl.streams)
+			if p.nodesOK != 2 || p.nodesTotal != 3 || !reflect.DeepEqual(p.missing, victim) || !reflect.DeepEqual(p.degraded, victim) || p.maxBound <= 0 {
+				t.Errorf("want the victim's streams %v missing and degraded, 2 of 3 nodes, a widened bound: %s", victim, p.line)
+			}
+		},
+	}, {
+		name:  "below-quorum",
+		steps: []string{"ship 40", "partition 0", "partition 1", "ship 10", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			if !tl.probes[0].quorumErr {
+				t.Errorf("gathers answered with 1 of 3 owners: %s", tl.probes[0].line)
+			}
+		},
+	}, {
+		name:  "crash-restart",
+		steps: []string{"ship 40", "probe", "crash 0", "ship 10", "probe", "restart 0", "ship 40", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			if p := tl.probes[1]; p.nodesOK != 2 || len(p.missing) == 0 {
+				t.Errorf("want the crashed node's streams missing: %s", p.line)
+			}
+			p := tl.probes[2]
+			healthyAt(t, p)
+			if p.maxLag < int64(n) || p.maxBound <= 0 {
+				t.Errorf("restarted node's lost history left no lag or no taint: %s", p.line)
+			}
+		},
+	}, {
+		name:  "heal",
+		steps: []string{"ship 40", "partition 0", "ship 40", "probe", "heal 0", "ship 10", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			if p := tl.probes[0]; p.maxLag < int64(n) {
+				t.Errorf("partition lost %d rows, want ≥ %d: %s", p.maxLag, n, p.line)
+			}
+			p := tl.probes[1]
+			healthyAt(t, p)
+			if p.maxBound <= 0 {
+				t.Errorf("healed node's lost rows left no taint: %s", p.line)
+			}
+		},
+	}, {
+		// The owner advances a lagging stream by tainting its newest
+		// ages, but here the 5 lost values lie behind the 10 delivered
+		// after the heal: those 10 are answered 5 positions off with
+		// bound 0, at roll-up ages 5..14. ROADMAP: mid-stream gaps
+		// break arrival alignment.
+		name:     "partition-heal-short",
+		steps:    []string{"ship 40", "partition 0", "ship 5", "heal 0", "ship 10", "probe"},
+		knownLie: true,
+		check: func(t *testing.T, tl *timeline) {
+			var want []lie
+			for age := 5; age < 15; age++ {
+				want = append(want, lie{age: age})
+			}
+			if !reflect.DeepEqual(tl.lies, want) {
+				t.Errorf("lies %+v, want exactly roll-up ages 5..14", tl.lies)
+			}
+		},
+	}, {
+		name:  "crash-restart-rebalance",
+		spare: true,
+		steps: []string{"ship 40", "probe", "crash 0", "ship 10", "probe", "restart 0", "ship 40", "probe",
+			"rebalance", "probe", "ship 10", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			for _, p := range tl.probes[3:] {
+				if p.quorumErr || p.nodesOK != p.nodesTotal || len(p.missing) != 0 || p.maxBound <= 0 {
+					t.Errorf("want every owner answering, nothing missing, the restart's taint kept: %s", p.line)
+				}
+			}
+		},
+	}, {
+		name: "replay",
+		steps: []string{"ship 40", "probe", "partition 1", "ship 40", "probe", "heal 1", "ship 10", "probe",
+			"crash 2", "ship 10", "probe", "restart 2", "ship 40", "probe"},
+		replay: true,
+	}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f := startFaultFleet(t, row.spare)
+			tl := runTimeline(t, f, row.steps)
+			t.Logf("records:\n%s", tl.records())
+			switch {
+			case row.knownLie && len(tl.lies) == 0:
+				t.Error("the known lie no longer reproduces: a fix landed, so this row must assert zero lies")
+			case !row.knownLie && len(tl.lies) != 0:
+				t.Errorf("%d answers lied: %+v", len(tl.lies), tl.lies)
+			}
+			if row.check != nil {
+				row.check(t, tl)
+			}
+			if row.replay {
+				for _, addr := range f.addrs {
+					f.proxies[addr].drop.Store(false)
+					f.restart(t, addr)
+				}
+				if again := runTimeline(t, f, row.steps).records(); again != tl.records() {
+					t.Errorf("replay records differ:\n%s\nvs\n%s", tl.records(), again)
+				}
+			}
+		})
+	}
+}

@@ -231,10 +231,13 @@ func (t *Tree) MergeSummary(s *Summary, o MergeOptions) error {
 // through the ordinary update algorithm — the same machinery skewed
 // merges use internally — tainting the synthetic suffix so bounds
 // widen instead of lying. This is how a gatherer reconciles a shard
-// that verifiably lags (a healed partition dropped arrivals, a shed
-// policy dropped batches): advance its summary to the count the client
-// knows it shipped, then merge. target below s.Arrivals is an error; a
-// target equal to it returns a clone.
+// that verifiably lags the count the client knows it shipped: advance
+// its summary to that count, then merge. The taint covers the lag only
+// while the missing values are the newest. When values arrived after
+// the gap (a healed partition, a shed batch), they sit at the wrong
+// ages with no taint of their own (ROADMAP: mid-stream gaps break
+// arrival alignment). target below s.Arrivals is an error; a target
+// equal to it returns a clone.
 func AdvanceSummary(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -64,12 +64,12 @@ func (m *Monitor) MergeFrom(src *Monitor, o core.MergeOptions) error {
 // summary per node crosses the network instead of one per stream.
 // Streams fold in names order: each tree is exported, advanced with
 // tainted midpoints when it lags sent[i] (the count the caller shipped
-// for it: the shard lost arrivals, and the bounds must admit the gap),
-// and accumulated in place. A name this monitor does not hold, a tree
-// that has not warmed up, or a stream the fold rejects is left out,
-// with its reason in refused[i]. The result is nil when nothing
-// folded. The fold only reads the trees, so durable monitors are
-// allowed.
+// for it: the shard lost arrivals; core.AdvanceSummary says which gaps
+// the taint covers), and accumulated in place. A name this monitor
+// does not hold, a tree that has not warmed up, or a stream the fold
+// rejects is left out, with its reason in refused[i]. The result is
+// nil when nothing folded. The fold only reads the trees, so durable
+// monitors are allowed.
 func (m *Monitor) FoldSummary(names []string, sent []int64, o core.MergeOptions, refused []error) (*core.Summary, error) {
 	if len(sent) != len(names) || len(refused) != len(names) {
 		return nil, fmt.Errorf("multi: fold of %d streams given %d sent counts and %d refusal slots", len(names), len(sent), len(refused))

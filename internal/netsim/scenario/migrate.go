@@ -77,7 +77,9 @@ type MigrateConfig struct {
 	// FenceBudget is how long the fence broadcast retries before the
 	// flip proceeds with unfenced nodes listed; 0 means 8.
 	FenceBudget float64
-	// Probe schedule, as in ClusterConfig.
+	// Probe schedule: a gather after row ProbeStart (0 means
+	// WindowSize+1) and every ProbeEvery rows after it (0 means 4), each
+	// answering a bounded point query at ProbeAge (0 = the newest value).
 	ProbeStart int
 	ProbeEvery int
 	ProbeAge   int
