@@ -37,7 +37,7 @@ lint:
 # Rebalance and chunked transfers) run at full depth; every other
 # package runs -short, which trims only the long experiment sweeps.
 # The pass covers the merge algebra property suite, the live-resharding
-# proofs (netsim migration scenarios, socket-level Rebalance, summary
+# proofs (socket-level Rebalance with cut transfers and fences, summary
 # transfers) and cmd/swatd's SIGTERM-and-restart test of a durable
 # swatd process. -count=1: no cached results.
 RACE_FULL = ./internal/wire ./internal/cluster

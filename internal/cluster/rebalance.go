@@ -35,9 +35,9 @@ package cluster
 // stream's newest: once later values land on the new owner, the gap
 // lies behind them and the same mechanism would answer them at the
 // wrong ages (ROADMAP: mid-stream gaps break arrival alignment).
-// Callers quiesce ingest to moved streams around the Rebalance (the
-// netsim migration harness buffers client-side and replays after the
-// flip).
+// Callers quiesce ingest to moved streams around the Rebalance, for
+// instance by buffering it client-side and replaying it after the
+// flip.
 
 import (
 	"context"

@@ -99,7 +99,7 @@ func TestRebalanceOntoDurableNodeUnsupported(t *testing.T) {
 		t.Fatalf("client epoch %d after the aborted rebalance, want 1", got)
 	}
 	for addr := range nodes {
-		if e := serverEpoch(t, addr); e >= newRing.Epoch() {
+		if e := serverStats(t, addr).Epoch; e >= newRing.Epoch() {
 			t.Fatalf("node %s fenced to %d by an aborted rebalance", addr, e)
 		}
 	}

@@ -29,19 +29,19 @@ func movers(t *testing.T, oldRing, newRing *Ring, addr string, want int) []strin
 	return names
 }
 
-// serverEpoch reads a node's ring epoch over a throwaway connection.
-func serverEpoch(t *testing.T, addr string) uint64 {
+// serverStats reads a node's counters over a throwaway connection.
+func serverStats(t *testing.T, addr string) wire.StatsV2 {
 	t.Helper()
 	bc, err := wire.DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bc.Close()
-	e, err := bc.RingEpoch()
+	st, err := bc.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return st
 }
 
 // TestRebalanceAddNode grows a live fleet by one node: summaries hand
@@ -105,7 +105,7 @@ func TestRebalanceAddNode(t *testing.T) {
 		t.Fatalf("client ring epoch = %d, want 2", got)
 	}
 	for addr := range nodes {
-		if e := serverEpoch(t, addr); e != 2 {
+		if e := serverStats(t, addr).Epoch; e != 2 {
 			t.Fatalf("node %s at epoch %d after cutover, want 2", addr, e)
 		}
 	}
@@ -150,14 +150,16 @@ func TestRebalanceAddNode(t *testing.T) {
 	}
 
 	// The stale twin still routes by epoch 1: its writes to a moved
-	// stream's old owner are refused (never silently double-counted)
-	// and its reads are told the placement is stale.
+	// stream's old owner are refused (never silently double-counted),
+	// counted in the old owner's EpochRefusals, and its reads are told
+	// the placement is stale.
 	mv := report.Moves[0]
 	oldTree, err := nodes[mv.From].mon.Tree(mv.Stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrivalsBefore := oldTree.Arrivals()
+	refusalsBefore := serverStats(t, mv.From).EpochRefusals
 	if err := stale.ObserveStream(mv.Stream, []float64{50, 50, 50}); err != nil {
 		t.Fatal(err) // one-way: the refusal surfaces on the next sync
 	}
@@ -167,6 +169,9 @@ func TestRebalanceAddNode(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := oldTree.Arrivals(); got != arrivalsBefore {
 		t.Fatalf("stale write applied on old owner: arrivals %d -> %d", arrivalsBefore, got)
+	}
+	if got := serverStats(t, mv.From).EpochRefusals; got <= refusalsBefore {
+		t.Fatalf("old owner's epoch refusals %d -> %d: the stale write was not counted as refused", refusalsBefore, got)
 	}
 	if ans := stale.Point(mv.Stream, 0); ans.Err == nil || !strings.Contains(ans.Err.Error(), "epoch") {
 		t.Fatalf("stale read: %+v, want an epoch refusal", ans)
@@ -317,7 +322,7 @@ func TestRebalanceDeadNewOwnerFailsFast(t *testing.T) {
 	// Ordinary traffic already carried epoch 1 to the servers; the
 	// point is that nobody was fenced to the aborted target epoch.
 	for _, n := range fleet {
-		if e := serverEpoch(t, n.addr); e >= newRing.Epoch() {
+		if e := serverStats(t, n.addr).Epoch; e >= newRing.Epoch() {
 			t.Fatalf("node %s fenced to %d by an aborted migration", n.addr, e)
 		}
 	}

@@ -7,7 +7,8 @@ package cluster
 // owners' multi.Monitor.FoldSummary. Faults enter at the connection:
 // a partition makes a node's proxy drop every request, a crash stops
 // the node, a restart starts a fresh, empty node behind the same proxy
-// address, and a rebalance adds the spare proxied node to the ring.
+// address, and a rebalance adds the spare proxied node to the ring —
+// or, cold, loses one source mid-export and crashes it.
 //
 // Every probe runs the real RollUp and PointAll and scores them
 // against fault-free twins: one tree fed the per-row sums of every
@@ -30,6 +31,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,11 +107,13 @@ type timeline struct {
 	twins   []*core.Tree // per stream, fed every value generated
 	probes  []probeRecord
 	lies    []lie
+	cold    []string // streams a cold rebalance moved without history
 }
 
 // runTimeline runs steps — "ship n", "partition i", "heal i",
-// "crash i", "restart i", "rebalance" (add the spare) and "probe" — on
-// a fresh client over f. i indexes f.addrs.
+// "crash i", "restart i", "rebalance" (add the spare), "coldrebalance
+// i" (add it, losing member i; see rebalance) and "probe" — on a fresh
+// client over f. i indexes f.addrs.
 func runTimeline(t *testing.T, f *faultFleet, steps []string) *timeline {
 	t.Helper()
 	c, err := New(f.cfg)
@@ -124,7 +128,7 @@ func runTimeline(t *testing.T, f *faultFleet, steps []string) *timeline {
 		if tl.newRing, err = c.Ring().WithNode(spare); err != nil {
 			t.Fatal(err)
 		}
-		tl.streams = append(tl.streams, movers(t, c.Ring(), tl.newRing, spare, 3)...)
+		tl.streams = append(tl.streams, moversFrom(t, c.Ring(), tl.newRing, spare, 1)...)
 	}
 	if tl.sums, err = core.New(testGeometry); err != nil {
 		t.Fatal(err)
@@ -176,7 +180,9 @@ func runTimeline(t *testing.T, f *faultFleet, steps []string) *timeline {
 				}
 			}
 		case "rebalance":
-			tl.rebalance()
+			tl.rebalance("")
+		case "coldrebalance":
+			tl.rebalance(addr)
 		case "probe":
 			tl.probe()
 		default:
@@ -209,6 +215,13 @@ func (tl *timeline) ship(n int) {
 	tl.sums.UpdateBatch(sums)
 	tl.rows += n
 	obsErr := tl.c.ObserveBatch(batches)
+	// Sync fails exactly when it pings a held connection to an
+	// unreachable node, even one this ship sent nothing: an old owner a
+	// rebalance left without streams, say.
+	var dead bool
+	for _, addr := range tl.c.Ring().Nodes() {
+		dead = dead || tl.feedHeld(addr) && !tl.f.reachable(addr)
+	}
 	syncErr := tl.c.Sync()
 
 	var unsent, lost bool
@@ -228,8 +241,9 @@ func (tl *timeline) ship(n int) {
 			lost = true
 		}
 	}
-	if (obsErr != nil) != unsent || (syncErr != nil) != lost {
-		t.Fatalf("ObserveBatch err %v with streams unsent: %v; Sync err %v with sent values lost: %v", obsErr, unsent, syncErr, lost)
+	if (obsErr != nil) != unsent || (syncErr != nil) != dead || lost && !dead {
+		t.Fatalf("ObserveBatch err %v with streams unsent: %v; Sync err %v with a connection to an unreachable node held: %v, sent values lost: %v",
+			obsErr, unsent, syncErr, dead, lost)
 	}
 	tl.awaitApplied()
 }
@@ -269,22 +283,49 @@ func (tl *timeline) awaitApplied() {
 	}
 }
 
-// rebalance moves the client onto the ring with the spare.
-func (tl *timeline) rebalance() {
+// rebalance moves the client onto the ring with the spare. Given a
+// victim, the victim's proxy cuts it off for good at its 2nd migRead,
+// the Rebalance runs with AllowCold, and the victim then crashes: its
+// moves must go cold, every other move warm, and it alone be unfenced.
+func (tl *timeline) rebalance(victim string) {
 	t := tl.t
 	if tl.newRing == nil {
 		t.Fatal("rebalance without a spare")
 	}
-	report, err := tl.c.Rebalance(tl.newRing, RebalanceOptions{})
+	var opts RebalanceOptions
+	if victim != "" {
+		p := tl.f.proxies[victim]
+		var reads atomic.Int64
+		filter := func(body []byte) bool {
+			if body[0] == migReadFrame && reads.Add(1) == 2 {
+				p.drop.Store(true)
+				return false
+			}
+			return true
+		}
+		p.filter.Store(&filter)
+		// Small chunks, so the victim's one-stream bundle needs a 2nd read.
+		opts = RebalanceOptions{AllowCold: true, ChunkBytes: 64}
+	}
+	report, err := tl.c.Rebalance(tl.newRing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Moves) == 0 || len(report.Unfenced) != 0 {
-		t.Fatalf("rebalance moved %d streams, left %v unfenced", len(report.Moves), report.Unfenced)
+	var unfenced []string
+	if victim != "" {
+		tl.f.nodes[victim].stop()
+		unfenced = []string{victim}
+	}
+	if len(report.Moves) == 0 || !reflect.DeepEqual(report.Unfenced, unfenced) {
+		t.Fatalf("rebalance moved %d streams, left %v unfenced; want %v", len(report.Moves), report.Unfenced, unfenced)
 	}
 	for _, mv := range report.Moves {
+		if mv.Cold != (mv.From == victim) {
+			t.Fatalf("move %+v: want cold exactly the moves from %q", mv, victim)
+		}
 		if mv.Cold {
-			t.Fatalf("move %+v went cold", mv)
+			tl.cold = append(tl.cold, mv.Stream)
+			tl.applied[tl.index[mv.Stream]] = 0
 		}
 	}
 }
@@ -555,6 +596,37 @@ func TestFaultTimelines(t *testing.T) {
 				}
 			}
 		},
+	}, {
+		// A source lost mid-export: its streams start over on the
+		// spare, their roll-up share stays tainted, and no probe lies.
+		name:  "source-crash-cold",
+		spare: true,
+		steps: []string{"ship 40", "probe", "coldrebalance 0", "probe", "ship 40", "probe"},
+		check: func(t *testing.T, tl *timeline) {
+			if len(tl.cold) == 0 {
+				t.Fatal("the lost source moved nothing; the row proves nothing")
+			}
+			spare := tl.f.nodes[tl.f.addrs[3]].mon
+			for _, s := range tl.cold {
+				tr, err := spare.Tree(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent := tl.c.Sent(s)
+				sum, err := spare.FoldSummary([]string{s}, []int64{sent}, tl.c.mopts, make([]error, 1))
+				if err != nil || sum == nil {
+					t.Fatalf("cold stream %q: the spare folds %v (%v)", s, sum, err)
+				}
+				if tr.Arrivals() >= sent || len(sum.Taint) == 0 {
+					t.Errorf("cold stream %q: %d arrivals of %d sent, fold taint %v; want fewer and a taint", s, tr.Arrivals(), sent, sum.Taint)
+				}
+			}
+		},
+	}, {
+		name:   "replay-rebalance",
+		spare:  true,
+		steps:  []string{"ship 40", "probe", "rebalance", "probe", "partition 1", "ship 40", "probe", "heal 1", "ship 10", "probe"},
+		replay: true,
 	}, {
 		name: "replay",
 		steps: []string{"ship 40", "probe", "partition 1", "ship 40", "probe", "heal 1", "ship 10", "probe",
