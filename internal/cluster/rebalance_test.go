@@ -47,8 +47,9 @@ func serverStats(t *testing.T, addr string) wire.StatsV2 {
 // TestRebalanceAddNode grows a live fleet by one node: summaries hand
 // off to the newcomer byte-identically, every node and the client end
 // at the new epoch, post-migration answers are exactly the
-// pre-migration ones, and a client still routing by the old ring is
-// refused instead of double-counting.
+// pre-migration ones ("clean-handoff"), and a client still routing by
+// the old ring is refused instead of double-counting
+// ("stale-straggler").
 func TestRebalanceAddNode(t *testing.T) {
 	nodes := map[string]*testNode{}
 	var fleet []*testNode
@@ -92,89 +93,97 @@ func TestRebalanceAddNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.FromEpoch != 1 || report.ToEpoch != 2 {
-		t.Fatalf("epochs %d -> %d, want 1 -> 2", report.FromEpoch, report.ToEpoch)
-	}
-	if len(report.Moves) == 0 {
-		t.Fatal("no streams moved despite guaranteed movers")
-	}
-	if len(report.Unfenced) != 0 {
-		t.Fatalf("healthy fleet left unfenced nodes: %v", report.Unfenced)
-	}
-	if got := c.Ring().Epoch(); got != 2 {
-		t.Fatalf("client ring epoch = %d, want 2", got)
-	}
-	for addr := range nodes {
-		if e := serverStats(t, addr).Epoch; e != 2 {
-			t.Fatalf("node %s at epoch %d after cutover, want 2", addr, e)
+	if !t.Run("clean-handoff", func(t *testing.T) {
+		if report.FromEpoch != 1 || report.ToEpoch != 2 {
+			t.Fatalf("epochs %d -> %d, want 1 -> 2", report.FromEpoch, report.ToEpoch)
 		}
-	}
+		if len(report.Moves) == 0 {
+			t.Fatal("no streams moved despite guaranteed movers")
+		}
+		if len(report.Unfenced) != 0 {
+			t.Fatalf("healthy fleet left unfenced nodes: %v", report.Unfenced)
+		}
+		if got := c.Ring().Epoch(); got != 2 {
+			t.Fatalf("client ring epoch = %d, want 2", got)
+		}
+		for addr := range nodes {
+			if e := serverStats(t, addr).Epoch; e != 2 {
+				t.Fatalf("node %s at epoch %d after cutover, want 2", addr, e)
+			}
+		}
 
-	// Handoff correctness: each moved stream's state on its new owner
-	// is byte-identical to the old owner's, with no double count.
-	for _, mv := range report.Moves {
-		if mv.Cold {
-			t.Fatalf("move %+v went cold on a healthy fleet", mv)
+		// Handoff correctness: each moved stream's state on its new owner
+		// is byte-identical to the old owner's, with no double count.
+		for _, mv := range report.Moves {
+			if mv.Cold {
+				t.Fatalf("move %+v went cold on a healthy fleet", mv)
+			}
+			src, dst := nodes[mv.From].mon, nodes[mv.To].mon
+			srcTree, err := src.Tree(mv.Stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dstTree, err := dst.Tree(mv.Stream)
+			if err != nil {
+				t.Fatalf("moved stream %q missing on new owner: %v", mv.Stream, err)
+			}
+			if !bytes.Equal(srcTree.AppendSummary(nil), dstTree.AppendSummary(nil)) {
+				t.Fatalf("moved stream %q not byte-identical across the handoff", mv.Stream)
+			}
+			if got := dstTree.Arrivals(); got != count {
+				t.Fatalf("moved stream %q has %d arrivals on new owner, want %d", mv.Stream, got, count)
+			}
 		}
-		src, dst := nodes[mv.From].mon, nodes[mv.To].mon
-		srcTree, err := src.Tree(mv.Stream)
+
+		// Post-migration reads route by the new ring and answer exactly as
+		// before the reshard.
+		after, err := c.PointAll(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dstTree, err := dst.Tree(mv.Stream)
+		for i := range before {
+			if before[i].Err != nil || after[i].Err != nil {
+				t.Fatalf("answer error: before=%v after=%v", before[i].Err, after[i].Err)
+			}
+			if before[i].Value != after[i].Value || after[i].Bound != 0 {
+				t.Fatalf("stream %q answered %v±%v after migration, want exactly %v",
+					after[i].Stream, after[i].Value, after[i].Bound, before[i].Value)
+			}
+		}
+	}) {
+		return
+	}
+
+	if !t.Run("stale-straggler", func(t *testing.T) {
+		// The stale twin still routes by epoch 1: its writes to a moved
+		// stream's old owner are refused (never silently double-counted),
+		// counted in the old owner's EpochRefusals, and its reads are told
+		// the placement is stale.
+		mv := report.Moves[0]
+		oldTree, err := nodes[mv.From].mon.Tree(mv.Stream)
 		if err != nil {
-			t.Fatalf("moved stream %q missing on new owner: %v", mv.Stream, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(srcTree.AppendSummary(nil), dstTree.AppendSummary(nil)) {
-			t.Fatalf("moved stream %q not byte-identical across the handoff", mv.Stream)
+		arrivalsBefore := oldTree.Arrivals()
+		refusalsBefore := serverStats(t, mv.From).EpochRefusals
+		if err := stale.ObserveStream(mv.Stream, []float64{50, 50, 50}); err != nil {
+			t.Fatal(err) // one-way: the refusal surfaces on the next sync
 		}
-		if got := dstTree.Arrivals(); got != count {
-			t.Fatalf("moved stream %q has %d arrivals on new owner, want %d", mv.Stream, got, count)
+		if err := stale.Sync(); err == nil {
+			t.Fatal("stale client's sync succeeded over a refused connection")
 		}
-	}
-
-	// Post-migration reads route by the new ring and answer exactly as
-	// before the reshard.
-	after, err := c.PointAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range before {
-		if before[i].Err != nil || after[i].Err != nil {
-			t.Fatalf("answer error: before=%v after=%v", before[i].Err, after[i].Err)
+		time.Sleep(20 * time.Millisecond)
+		if got := oldTree.Arrivals(); got != arrivalsBefore {
+			t.Fatalf("stale write applied on old owner: arrivals %d -> %d", arrivalsBefore, got)
 		}
-		if before[i].Value != after[i].Value || after[i].Bound != 0 {
-			t.Fatalf("stream %q answered %v±%v after migration, want exactly %v",
-				after[i].Stream, after[i].Value, after[i].Bound, before[i].Value)
+		if got := serverStats(t, mv.From).EpochRefusals; got <= refusalsBefore {
+			t.Fatalf("old owner's epoch refusals %d -> %d: the stale write was not counted as refused", refusalsBefore, got)
 		}
-	}
-
-	// The stale twin still routes by epoch 1: its writes to a moved
-	// stream's old owner are refused (never silently double-counted),
-	// counted in the old owner's EpochRefusals, and its reads are told
-	// the placement is stale.
-	mv := report.Moves[0]
-	oldTree, err := nodes[mv.From].mon.Tree(mv.Stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivalsBefore := oldTree.Arrivals()
-	refusalsBefore := serverStats(t, mv.From).EpochRefusals
-	if err := stale.ObserveStream(mv.Stream, []float64{50, 50, 50}); err != nil {
-		t.Fatal(err) // one-way: the refusal surfaces on the next sync
-	}
-	if err := stale.Sync(); err == nil {
-		t.Fatal("stale client's sync succeeded over a refused connection")
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := oldTree.Arrivals(); got != arrivalsBefore {
-		t.Fatalf("stale write applied on old owner: arrivals %d -> %d", arrivalsBefore, got)
-	}
-	if got := serverStats(t, mv.From).EpochRefusals; got <= refusalsBefore {
-		t.Fatalf("old owner's epoch refusals %d -> %d: the stale write was not counted as refused", refusalsBefore, got)
-	}
-	if ans := stale.Point(mv.Stream, 0); ans.Err == nil || !strings.Contains(ans.Err.Error(), "epoch") {
-		t.Fatalf("stale read: %+v, want an epoch refusal", ans)
+		if ans := stale.Point(mv.Stream, 0); ans.Err == nil || !strings.Contains(ans.Err.Error(), "epoch") {
+			t.Fatalf("stale read: %+v, want an epoch refusal", ans)
+		}
+	}) {
+		return
 	}
 
 	// Stats reflect the settled state.
