@@ -51,7 +51,8 @@ verify: build vet lint test race bench-smoke bench-cluster-smoke fuzz-smoke
 # Short coverage-guided fuzzing on every fuzz target (frame decoding,
 # server dispatch, batched-update equivalence, snapshot decoding, merge
 # and accumulate equivalence, query routing against its reference,
-# handoff bundle decoding, WAL recovery). FUZZTIME bounds each target; 30s keeps verify usable while
+# handoff bundle decoding, summary decoding against its reference, WAL
+# recovery). FUZZTIME bounds each target; 30s keeps verify usable while
 # still growing the corpus past the seeds. Targets run one at a time —
 # `go test -fuzz` accepts only a single matching target per package.
 FUZZTIME ?= 30s
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzAccumulateEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzQueryRoutingEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeSummaryEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzRecoverSegment$$' -fuzztime $(FUZZTIME)
 
 # Per-package coverage (printed per package by go test) plus an

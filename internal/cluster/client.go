@@ -66,9 +66,11 @@ type node struct {
 	pool *wire.BinPool
 
 	// mu guards the held ingest connection: stream order must survive,
-	// so one writer at a time per node.
-	mu   sync.Mutex
-	feed *wire.BinClient
+	// so one writer at a time per node. dirty is set while feed carries
+	// framed values no successful ping has yet bounded.
+	mu    sync.Mutex
+	feed  *wire.BinClient
+	dirty bool
 }
 
 // placement is one consistent view of the fleet: the ring and the node
@@ -281,13 +283,14 @@ func (c *Client) sendTo(p *placement, n *node, batches []Batch) error {
 	for i, b := range batches {
 		if err := n.feed.FeedStream(b.Stream, b.Values); err != nil {
 			n.pool.Discard(n.feed)
-			n.feed = nil
+			n.feed, n.dirty = nil, false
 			rest := make([]string, 0, len(batches)-i)
 			for _, rb := range batches[i:] {
 				rest = append(rest, rb.Stream)
 			}
 			return fmt.Errorf("cluster: %s: streams %v: %w", n.addr, rest, err)
 		}
+		n.dirty = true
 		c.recordSent(b.Stream, int64(len(b.Values)))
 	}
 	return nil
@@ -299,10 +302,13 @@ func (c *Client) recordSent(stream string, nvals int64) {
 	c.regMu.Unlock()
 }
 
-// Sync flushes every held ingest connection and pings it, bounding
-// delivery of everything shipped so far: when Sync returns nil, every
-// prior batch has been read by its server (under the block policy,
-// also enqueued).
+// Sync flushes every held ingest connection that carries values sent
+// since its last ping and pings it, bounding delivery of everything
+// shipped so far: when Sync returns nil, every prior batch has been
+// read by its server (under the block policy, also enqueued). It errs
+// only when such a connection fails, so a dead node the client sent
+// nothing since the last Sync — an old owner a Rebalance emptied, say —
+// is no error; its connection is discarded on its next use.
 func (c *Client) Sync() error {
 	p := c.pl.Load()
 	var (
@@ -317,12 +323,13 @@ func (c *Client) Sync() error {
 			defer wg.Done()
 			n.mu.Lock()
 			defer n.mu.Unlock()
-			if n.feed == nil {
+			if n.feed == nil || !n.dirty {
 				return
 			}
 			n.feed.SetDeadline(deadline(c.timeout()))
 			_, err := n.feed.Ping()
 			n.feed.SetDeadline(time.Time{})
+			n.dirty = false
 			if err != nil {
 				n.pool.Discard(n.feed)
 				n.feed = nil

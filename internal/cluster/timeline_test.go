@@ -195,8 +195,11 @@ func runTimeline(t *testing.T, f *faultFleet, steps []string) *timeline {
 // ship generates n rows, feeds the twins every value, and ships them
 // through the client. Under faults ObserveBatch and Sync fail; a value
 // counts as sent once it is framed on a held connection, and it
-// arrives exactly when that connection survives Sync. ship then waits
-// until every live owner holds exactly what arrived.
+// arrives exactly when that connection survives Sync. Sync errs
+// exactly when a sent value was lost: it pings only connections that
+// carry values sent since their last ping, so an unreachable node this
+// ship sent nothing is no error. ship then waits until every live
+// owner holds exactly what arrived.
 func (tl *timeline) ship(n int) {
 	t := tl.t
 	batches := make([]Batch, len(tl.streams))
@@ -215,13 +218,6 @@ func (tl *timeline) ship(n int) {
 	tl.sums.UpdateBatch(sums)
 	tl.rows += n
 	obsErr := tl.c.ObserveBatch(batches)
-	// Sync fails exactly when it pings a held connection to an
-	// unreachable node, even one this ship sent nothing: an old owner a
-	// rebalance left without streams, say.
-	var dead bool
-	for _, addr := range tl.c.Ring().Nodes() {
-		dead = dead || tl.feedHeld(addr) && !tl.f.reachable(addr)
-	}
 	syncErr := tl.c.Sync()
 
 	var unsent, lost bool
@@ -241,9 +237,8 @@ func (tl *timeline) ship(n int) {
 			lost = true
 		}
 	}
-	if (obsErr != nil) != unsent || (syncErr != nil) != dead || lost && !dead {
-		t.Fatalf("ObserveBatch err %v with streams unsent: %v; Sync err %v with a connection to an unreachable node held: %v, sent values lost: %v",
-			obsErr, unsent, syncErr, dead, lost)
+	if (obsErr != nil) != unsent || (syncErr != nil) != lost {
+		t.Fatalf("ObserveBatch err %v with streams unsent: %v; Sync err %v with sent values lost: %v", obsErr, unsent, syncErr, lost)
 	}
 	tl.awaitApplied()
 }

@@ -235,6 +235,27 @@ func TestAppendSummaryDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestDecodeSummaryAllocs pins the receiving side of summary shipment
+// at a fixed allocation count whatever the window: the Summary, its
+// ring, its node list and one array backing every node's coefficients.
+// Node names are formatted only when a read fails, so an accepted
+// summary formats nothing.
+func TestDecodeSummaryAllocs(t *testing.T) {
+	for _, opts := range []Options{
+		{WindowSize: 1024},
+		{WindowSize: 65536, Coefficients: 4},
+	} {
+		frame := warmTree(t, opts).AppendSummary(nil)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := DecodeSummary(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 4 {
+			t.Errorf("%+v: DecodeSummary allocates %v times per summary, want at most 4", opts, allocs)
+		}
+	}
+}
+
 // TestBoundedQueryDoesNotAllocate pins the bounded query path — the
 // shared body approximateBounds and its taint helper widenedBound —
 // at zero steady-state allocations, including on a tainted tree where

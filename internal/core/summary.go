@@ -357,24 +357,38 @@ func MaxSummaryLen(opts Options) (int, error) {
 }
 
 // sumReader is a cursor over a summary body with sticky truncation
-// error handling.
+// error handling. It notes which part of the body it is reading — a
+// named section, or the node at (role, level) while what is empty —
+// and formats that into the error only when a read runs short, so a
+// successful decode formats nothing.
 type sumReader struct {
-	b    []byte
-	err  error
-	what string
+	b     []byte
+	err   error
+	what  string
+	role  Role
+	level int
 }
 
 func (r *sumReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("core: summary truncated in %s", r.what)
+	if r.err != nil || len(r.b) < n {
+		r.truncated()
 		return nil
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
+}
+
+// truncated records a read past the end of the body, unless an earlier
+// one already did.
+func (r *sumReader) truncated() {
+	switch {
+	case r.err != nil:
+	case r.what == "":
+		r.err = fmt.Errorf("core: summary truncated in node %v%d", r.role, r.level)
+	default:
+		r.err = fmt.Errorf("core: summary truncated in %s", r.what)
+	}
 }
 
 func (r *sumReader) u8() uint8 {
@@ -401,7 +415,15 @@ func (r *sumReader) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (r *sumReader) f64() float64 { return math.Float64frombits(r.u64()) }
+// f64s fills dst from the next 8·len(dst) bytes, which the caller has
+// checked are there.
+func (r *sumReader) f64s(dst []float64) {
+	b := r.b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	r.b = r.b[len(b):]
+}
 
 // DecodeSummary parses one encoded summary frame (as produced by
 // AppendSummary) and validates it fully; the returned summary is safe
@@ -409,7 +431,10 @@ func (r *sumReader) f64() float64 { return math.Float64frombits(r.u64()) }
 // allocations are bounded by the input length, and a geometry whose
 // in-memory footprint is wildly out of proportion to the encoded bytes
 // (a decompression-bomb-style header on a near-empty body) is rejected
-// before FromSummary could size buffers off the lie.
+// before FromSummary could size buffers off the lie. A valid summary
+// costs a fixed four allocations whatever its window — the Summary, its
+// ring, its node list and one array backing every node's coefficients —
+// plus one for taint spans.
 func DecodeSummary(data []byte) (*Summary, error) {
 	body, n, err := codec.Next(data, len(data))
 	if err != nil {
@@ -445,7 +470,8 @@ func DecodeSummary(data []byte) (*Summary, error) {
 	// generous slack for cold trees, but refuse headers whose implied
 	// allocation dwarfs the bytes backing them.
 	levels := wavelet.Log2(s.WindowSize)
-	elems := 1 << uint(s.MinLevel+1)
+	ringCap := 1 << uint(s.MinLevel+1)
+	elems := ringCap
 	for l := s.MinLevel; l < levels; l++ {
 		roles := 3
 		if l == levels-1 {
@@ -458,59 +484,67 @@ func DecodeSummary(data []byte) (*Summary, error) {
 	}
 	r.what = "ring"
 	ringLen := int(r.u32())
-	if r.err == nil && (ringLen < 0 || ringLen > len(r.b)/8) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if ringLen < 0 || ringLen > len(r.b)/8 {
 		return nil, fmt.Errorf("core: summary ring length %d exceeds remaining input", ringLen)
 	}
-	if r.err == nil {
-		s.Ring = make([]float64, ringLen)
-		for i := range s.Ring {
-			s.Ring[i] = r.f64()
-		}
-	}
-	s.Nodes = make([]SummaryNode, 0, 3*(levels-s.MinLevel)-2)
-	for l := s.MinLevel; l < levels && r.err == nil; l++ {
+	s.Ring = make([]float64, ringLen)
+	r.f64s(s.Ring)
+	// One array backs every node's coefficients. Each coefficient takes
+	// 8 body bytes, so the array never needs more than the rest of the
+	// body holds; each node gets a full slice expression, so appending
+	// to one node's coefficients cannot overwrite the next node's.
+	backing := make([]float64, min(elems-ringCap, len(r.b)/8))
+	s.Nodes = make([]SummaryNode, 3*(levels-s.MinLevel)-2)
+	r.what = ""
+	i := 0
+	for l := s.MinLevel; l < levels; l++ {
 		roles := 3
 		if l == levels-1 {
 			roles = 1
 		}
+		cl := coeffLenFor(l, s.Coefficients)
 		for role := Right; int(role) < roles; role++ {
-			r.what = fmt.Sprintf("node %v%d", role, l)
-			sn := SummaryNode{Level: l, Role: role}
-			valid := r.u8()
-			birth := int64(r.u64())
-			if r.err == nil && valid > 1 {
+			r.role, r.level = role, l
+			hdr := r.take(1 + 8)
+			if hdr == nil {
+				return nil, r.err
+			}
+			valid, birth := hdr[0], int64(binary.BigEndian.Uint64(hdr[1:]))
+			sn := &s.Nodes[i]
+			i++
+			sn.Level, sn.Role = l, role
+			if valid > 1 {
 				return nil, fmt.Errorf("core: summary node %v%d validity byte %d", role, l, valid)
 			}
 			if valid == 1 {
-				sn.Valid = true
-				sn.Birth = birth
-				cl := coeffLenFor(l, s.Coefficients)
-				if r.err == nil && cl > len(r.b)/8 {
+				if cl > len(r.b)/8 {
 					return nil, fmt.Errorf("core: summary truncated in node %v%d coefficients", role, l)
 				}
-				sn.Coeffs = make([]float64, cl)
-				for i := range sn.Coeffs {
-					sn.Coeffs[i] = r.f64()
-				}
-			} else if r.err == nil && birth != 0 {
+				sn.Valid = true
+				sn.Birth = birth
+				sn.Coeffs, backing = backing[:cl:cl], backing[cl:]
+				r.f64s(sn.Coeffs)
+			} else if birth != 0 {
 				return nil, fmt.Errorf("core: summary node %v%d invalid but has birth %d", role, l, birth)
 			}
-			s.Nodes = append(s.Nodes, sn)
 		}
 	}
 	r.what = "taint spans"
 	taintCount := int(r.u32())
-	if r.err == nil && (taintCount < 0 || taintCount > len(r.b)/24) {
-		return nil, fmt.Errorf("core: summary taint count %d exceeds remaining input", taintCount)
-	}
-	if r.err == nil && taintCount > 0 {
-		s.Taint = make([]TaintSpan, taintCount)
-		for i := range s.Taint {
-			s.Taint[i] = TaintSpan{From: int64(r.u64()), To: int64(r.u64()), Half: r.f64()}
-		}
-	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if taintCount < 0 || taintCount > len(r.b)/24 {
+		return nil, fmt.Errorf("core: summary taint count %d exceeds remaining input", taintCount)
+	}
+	if taintCount > 0 {
+		s.Taint = make([]TaintSpan, taintCount)
+		for i := range s.Taint {
+			s.Taint[i] = TaintSpan{From: int64(r.u64()), To: int64(r.u64()), Half: math.Float64frombits(r.u64())}
+		}
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes in summary body", len(r.b))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -243,6 +244,40 @@ func TestDecodeSummaryRejectsHostileHeaders(t *testing.T) {
 	binary.BigEndian.PutUint64(mut[off+1:], 7)
 	if _, err := DecodeSummary(hostileBody(mut)); err == nil {
 		t.Fatal("invalid node with nonzero birth accepted")
+	}
+}
+
+// TestDecodeSummaryNamesTruncatedNode cuts a warm summary's body inside
+// every node — between its validity byte and its birth, and inside a
+// valid node's coefficients — and checks that the error names that
+// node: the decoder formats node names only once a read fails.
+func TestDecodeSummaryNamesTruncatedNode(t *testing.T) {
+	tr := feedTree(t, Options{WindowSize: 32, Coefficients: 4, MinLevel: 1}, stream.Uniform(8), 80)
+	sum := tr.Export()
+	frame := tr.AppendSummary(nil)
+	body, _, err := codec.Next(frame, len(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := summaryHeaderLen + 8*len(sum.Ring)
+	for _, nd := range sum.Nodes {
+		name := fmt.Sprintf("%v%d", nd.Role, nd.Level)
+		_, err := DecodeSummary(hostileBody(body[:off+1]))
+		if want := "core: summary truncated in node " + name; err == nil || err.Error() != want {
+			t.Errorf("cut inside node %s's header: error %v, want %q", name, err, want)
+		}
+		off += 1 + 8
+		if !nd.Valid {
+			continue
+		}
+		_, err = DecodeSummary(hostileBody(body[:off+8*len(nd.Coeffs)-3]))
+		if want := "core: summary truncated in node " + name + " coefficients"; err == nil || err.Error() != want {
+			t.Errorf("cut inside node %s's coefficients: error %v, want %q", name, err, want)
+		}
+		off += 8 * len(nd.Coeffs)
+	}
+	if off+4 != len(body) {
+		t.Fatalf("the node walk ends at byte %d, not at the taint count of a %d-byte body", off, len(body))
 	}
 }
 
