@@ -192,7 +192,6 @@ var requiredDeterministic = []string{
 	"internal/codec",
 	"internal/durable",
 	"internal/netsim",
-	"internal/netsim/scenario",
 	"internal/sim",
 	"internal/experiments",
 	"internal/stream",

@@ -7,7 +7,6 @@
 //	swatsim -clients 14 -window 64 -data real -td 2 -tq 1 -precision 20
 //	swatsim -topology chain -clients 4 -protocol asr,dc
 //	swatsim -duration 5000 -phase 50 -querylen 16
-//	swatsim -faulty -drop 0.2 -latency 0.05 -jitter 0.1
 package main
 
 import (
@@ -48,10 +47,6 @@ func main() {
 		queryLen  = flag.Int("querylen", 8, "maximum query length (linear random queries)")
 		protoList = flag.String("protocol", "asr,dc,aps", "comma-separated protocols: asr | dc | aps")
 		seed      = flag.Int64("seed", 1, "random seed")
-		faulty    = flag.Bool("faulty", false, "deploy over the fault-injected network substrate")
-		drop      = flag.Float64("drop", 0, "per-link drop probability (with -faulty)")
-		latency   = flag.Float64("latency", 0.01, "per-link base latency (with -faulty)")
-		jitter    = flag.Float64("jitter", 0, "per-link uniform latency jitter (with -faulty)")
 	)
 	flag.Parse()
 
@@ -60,28 +55,12 @@ func main() {
 		fatal(err)
 	}
 	names := strings.Split(*protoList, ",")
-	fmt.Printf("topology=%s clients=%d window=%d data=%s Td=%g Tq=%g δ=%g duration=%g",
+	fmt.Printf("topology=%s clients=%d window=%d data=%s Td=%g Tq=%g δ=%g duration=%g\n\n",
 		*topology, *clients, *window, *data, *td, *tq, *precision, *duration)
-	if *faulty {
-		fmt.Printf(" faulty drop=%g latency=%g jitter=%g", *drop, *latency, *jitter)
-	}
-	fmt.Printf("\n\n")
 	fmt.Printf("%-9s %10s %10s   %s\n", "protocol", "messages", "msg/query", "by kind")
 	for _, name := range names {
 		s := sim.New()
-		var p protocol
-		if *faulty {
-			net, nerr := netsim.NewNetwork(s, top, netsim.LinkFaults{
-				DropProb: *drop, LatencyBase: *latency, LatencyJitter: *jitter,
-			}, *seed)
-			if nerr != nil {
-				fatal(nerr)
-			}
-			net.SetLogging(false)
-			p, err = buildFaultyProtocol(strings.TrimSpace(name), net, *window, *data)
-		} else {
-			p, err = buildProtocol(strings.TrimSpace(name), top, *window, *data)
-		}
+		p, err := buildProtocol(strings.TrimSpace(name), top, *window, *data)
 		if err != nil {
 			fatal(err)
 		}
@@ -101,12 +80,6 @@ func main() {
 			kinds = append(kinds, fmt.Sprintf("%s=%d", k, p.Messages().Kind(k)))
 		}
 		fmt.Printf("%-9s %10d %10.2f   %s\n", p.Name(), msgs, perQuery, strings.Join(kinds, " "))
-		if fa, ok := p.(*faultyAdapter); ok {
-			fmt.Printf("%9s %10s %10s   net: %s\n", "", "", "",
-				fa.net.Counters())
-			fmt.Printf("%9s %10s %10s   degraded=%d/%d queries\n", "", "", "",
-				fa.degraded, fa.queries)
-		}
 	}
 }
 
@@ -126,8 +99,8 @@ func buildTopology(shape string, clients int, seed int64) (*netsim.Topology, err
 	}
 }
 
-// valueRange matches the data range of the built-in sources, used both
-// by DC's tolerance levels and the fault engine's staleness bounds.
+// valueRange matches the data range of the built-in sources, used by
+// DC's tolerance levels.
 func valueRange(data string) (lo, hi float64) {
 	if data == "real" {
 		return 0, 50
@@ -147,63 +120,6 @@ func buildProtocol(name string, top *netsim.Topology, window int, data string) (
 	default:
 		return nil, fmt.Errorf("swatsim: unknown protocol %q", name)
 	}
-}
-
-// faultyDeployment is the interface the fault-tolerant wrappers share.
-type faultyDeployment interface {
-	Name() string
-	OnData(v float64)
-	OnQuery(at netsim.NodeID, q query.Query) (netsim.Answer, error)
-	OnPhaseEnd()
-	Messages() *netsim.Counter
-}
-
-// faultyAdapter drives a fault-tolerant deployment through the plain
-// protocol loop, tallying how many answers were served degraded.
-type faultyAdapter struct {
-	faultyDeployment
-	net      *netsim.Network
-	degraded uint64
-	queries  uint64
-}
-
-func (a *faultyAdapter) OnQuery(at netsim.NodeID, q query.Query) (float64, error) {
-	ans, err := a.faultyDeployment.OnQuery(at, q)
-	if err != nil {
-		return 0, err
-	}
-	a.queries++
-	if ans.Degraded {
-		a.degraded++
-	}
-	return ans.Value, nil
-}
-
-func (a *faultyAdapter) SetTime(t float64) {
-	if ta, ok := a.faultyDeployment.(interface{ SetTime(float64) }); ok {
-		ta.SetTime(t)
-	}
-}
-
-func buildFaultyProtocol(name string, net *netsim.Network, window int, data string) (protocol, error) {
-	lo, hi := valueRange(data)
-	ecfg := netsim.EngineConfig{WindowSize: window, ValueLo: lo, ValueHi: hi}
-	var dep faultyDeployment
-	var err error
-	switch name {
-	case "asr":
-		dep, err = replication.NewFaulty(net, replication.Options{WindowSize: window}, ecfg)
-	case "dc":
-		dep, err = dc.NewFaulty(net, dc.Options{WindowSize: window, ValueLo: lo, ValueHi: hi}, ecfg)
-	case "aps":
-		dep, err = aps.NewFaulty(net, aps.Options{WindowSize: window}, ecfg)
-	default:
-		return nil, fmt.Errorf("swatsim: unknown protocol %q", name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &faultyAdapter{faultyDeployment: dep, net: net}, nil
 }
 
 type runConfig struct {

@@ -9,12 +9,11 @@ import (
 )
 
 // DetMap guards //swat:deterministic packages against Go's randomized
-// map iteration order reaching observable output: the canonical netsim
-// event log, wire frames, experiment tables, or any float accumulation
-// (float addition is not associative, so even a "commutative" sum over
-// a map differs between runs in the last ulp — enough to break golden
-// traces). A range over a map is flagged when its body has
-// order-dependent effects:
+// map iteration order reaching observable output: wire frames,
+// experiment tables, or any float accumulation (float addition is not
+// associative, so even a "commutative" sum over a map differs between
+// runs in the last ulp — enough to break golden traces). A range over
+// a map is flagged when its body has order-dependent effects:
 //
 //   - writes to state declared outside the loop, including writes
 //     through pointer-typed locals derived from the loop variables;

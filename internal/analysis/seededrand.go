@@ -10,8 +10,8 @@ import (
 // source is seeded from runtime entropy) and wall-clock reads
 // (time.Now and friends). Deterministic packages must draw randomness
 // from an injected, explicitly seeded *rand.Rand and obtain time from
-// an injected clock — that is what makes netsim runs, scenario
-// timelines, and experiment outputs replay byte-for-byte from a seed.
+// an injected clock — that is what makes netsim runs and experiment
+// outputs replay byte-for-byte from a seed.
 //
 // Constructors (rand.New, rand.NewSource, rand.NewZipf) are allowed:
 // they are exactly how an injected generator is built. Seeding one

@@ -215,22 +215,6 @@ func (s *System) OnQuery(at netsim.NodeID, q query.Query) (float64, error) {
 // OnPhaseEnd is a no-op: APS has no phase structure.
 func (s *System) OnPhaseEnd() {}
 
-// EvictNode models a crash at a client: all of the client's cached
-// intervals are dropped, as if the node restarted with empty volatile
-// state. The source cannot be evicted.
-func (s *System) EvictNode(id netsim.NodeID) error {
-	if !s.top.Valid(id) {
-		return fmt.Errorf("aps: invalid node %d", id)
-	}
-	if id == s.top.Root() {
-		return fmt.Errorf("aps: cannot evict the source")
-	}
-	for i := range s.state[id] {
-		s.state[id][i] = itemState{}
-	}
-	return nil
-}
-
 // setInterval centers the interval on val with the given width, applying
 // the exact-caching threshold τ₀.
 func (s *System) setInterval(st *itemState, val, w float64) {

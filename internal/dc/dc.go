@@ -317,23 +317,6 @@ func (s *System) OnQuery(at netsim.NodeID, q query.Query) (float64, error) {
 // OnPhaseEnd is a no-op: Divergence Caching has no phase structure.
 func (s *System) OnPhaseEnd() {}
 
-// EvictNode models a crash at a client: all of the client's cached
-// values, refresh widths, and rate-estimation histories are dropped, as
-// if the node restarted with empty volatile state. The source cannot be
-// evicted.
-func (s *System) EvictNode(id netsim.NodeID) error {
-	if !s.top.Valid(id) {
-		return fmt.Errorf("dc: invalid node %d", id)
-	}
-	if id == s.top.Root() {
-		return fmt.Errorf("dc: cannot evict the source")
-	}
-	for i := range s.state[id] {
-		s.state[id][i] = itemState{k: s.m}
-	}
-	return nil
-}
-
 // exact answers a query from the source's raw window.
 func (s *System) exact(q query.Query) (float64, error) {
 	var sum float64

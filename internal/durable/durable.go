@@ -70,9 +70,9 @@ const (
 	SyncNever
 )
 
-// Options tunes a Store or WindowLog. The zero value is usable: 1 MiB
-// segments, fsync on every append, a checkpoint every 4096 arrivals,
-// two retained snapshots.
+// Options tunes a Store. The zero value is usable: 1 MiB segments,
+// fsync on every append, a checkpoint every 4096 arrivals, two retained
+// snapshots.
 type Options struct {
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// size. 0 means 1 MiB.

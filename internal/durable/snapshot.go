@@ -16,10 +16,10 @@ import (
 //
 //	"SWATCKPT" | u32 crc32c(arrivals|body) | u64 arrivals | body
 //
-// body is opaque to this layer (Tree.MarshalBinary for a Store, packed
-// window values for a WindowLog). Files are named snap-<arrivals>.ckpt
-// and written tmp-then-rename with fsyncs on both the file and the
-// directory, so a snapshot either exists completely or not at all.
+// body is opaque to this layer (a Store writes Tree.MarshalBinary).
+// Files are named snap-<arrivals>.ckpt and written tmp-then-rename with
+// fsyncs on both the file and the directory, so a snapshot either
+// exists completely or not at all.
 const (
 	snapMagic  = "SWATCKPT"
 	snapPrefix = "snap-"

@@ -11,7 +11,7 @@ import (
 	"github.com/streamsum/swat/internal/core"
 )
 
-// ErrClosed reports an operation on a closed Store or WindowLog.
+// ErrClosed reports an operation on a closed Store.
 var ErrClosed = errors.New("durable: closed")
 
 // Store makes one SWAT tree crash-safe: every Append is logged to the

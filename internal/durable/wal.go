@@ -97,7 +97,7 @@ func encodeRecord(buf []byte, first uint64, values []float64) []byte {
 }
 
 // wal is the append side of a segment log. It is not internally locked;
-// the owning Store/WindowLog serializes access.
+// the owning Store serializes access.
 type wal struct {
 	dir  string
 	opts Options

@@ -18,15 +18,14 @@ func render(t *testing.T, id string) string {
 }
 
 // TestExperimentsAreDeterministic re-runs a representative slice of the
-// experiment registry — a centralized error study, a distributed
-// replication study, and the fault-injected lossy sweep — and requires
-// byte-identical output. Every random choice in the pipeline (stream
-// values, query workloads, topologies, fault draws) must come from an
-// injected seeded RNG, never the shared global one; any stowaway use of
-// the global RNG or map-iteration nondeterminism shows up here as a
-// diff between runs.
+// experiment registry — a centralized error study and a distributed
+// replication study — and requires byte-identical output. Every random
+// choice in the pipeline (stream values, query workloads, topologies)
+// must come from an injected seeded RNG, never the shared global one;
+// any stowaway use of the global RNG or map-iteration nondeterminism
+// shows up here as a diff between runs.
 func TestExperimentsAreDeterministic(t *testing.T) {
-	for _, id := range []string{"fig4a", "fig9c", "lossy"} {
+	for _, id := range []string{"fig4a", "fig9c"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			first := render(t, id)

@@ -7,9 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,7 +25,6 @@ func TestIDsComplete(t *testing.T) {
 		"tab1",
 		"ablation-basis", "ablation-bucketing", "ablation-coeffs", "ablation-levels", "ablation-phase",
 		"sensitivity-querylen",
-		"lossy",
 	}
 	got := IDs()
 	index := make(map[string]bool, len(got))
@@ -137,11 +138,14 @@ var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this
 // (go test ./internal/experiments -run TestRunAllQuick -update).
 const goldenPath = "testdata/quick.golden"
 
-// TestRunAllQuick executes every registered experiment at Quick scale
-// and compares each rendering, wall-clock cells left out, byte for byte
-// with its section of testdata/quick.golden. The histogram-backed
-// figures are the slow ones and are skipped with -short; -update keeps
-// the sections of the figures it skips.
+// TestRunAllQuick executes every registered experiment at Quick scale,
+// one parallel subtest each, and compares each rendering, wall-clock
+// cells left out, byte for byte with its section of
+// testdata/quick.golden. A section whose ID no experiment registers
+// fails the run. The histogram-backed figures are the slow ones and are
+// skipped with -short. -update rewrites the file once every subtest has
+// finished: one section per registered ID, keeping the sections of the
+// figures it skips and dropping every unregistered one.
 func TestRunAllQuick(t *testing.T) {
 	slow := map[string]bool{
 		"fig5a": true, "fig5b": true, "fig5c": true,
@@ -152,9 +156,26 @@ func TestRunAllQuick(t *testing.T) {
 	if err != nil && !(*update && errors.Is(err, fs.ErrNotExist)) {
 		t.Fatal(err)
 	}
+	orphans := orphanSections(golden, IDs())
+	var mu sync.Mutex // guards golden while -update subtests fill it
+	if *update {
+		for _, id := range orphans {
+			delete(golden, id)
+		}
+		// Cleanup runs after the parallel subtests, which start only
+		// once this body returns.
+		t.Cleanup(func() {
+			if err := writeGolden(goldenPath, golden); err != nil {
+				t.Error(err)
+			}
+		})
+	} else if len(orphans) > 0 {
+		t.Errorf("%s has sections for unregistered experiments %v; rerun with -update", goldenPath, orphans)
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			t.Parallel()
 			if testing.Short() && slow[id] {
 				t.Skip("histogram-backed experiment skipped in -short mode")
 			}
@@ -167,7 +188,9 @@ func TestRunAllQuick(t *testing.T) {
 			r.fprint(&b, false)
 			got := b.String()
 			if *update {
+				mu.Lock()
 				golden[id] = got
+				mu.Unlock()
 				return
 			}
 			want, ok := golden[id]
@@ -180,10 +203,30 @@ func TestRunAllQuick(t *testing.T) {
 			}
 		})
 	}
-	if *update {
-		if err := writeGolden(goldenPath, golden); err != nil {
-			t.Fatal(err)
+}
+
+// orphanSections returns, sorted, the IDs of golden sections that no
+// registered experiment renders.
+func orphanSections(sections map[string]string, ids []string) []string {
+	registered := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		registered[id] = true
+	}
+	var orphans []string
+	for id := range sections {
+		if !registered[id] {
+			orphans = append(orphans, id)
 		}
+	}
+	sort.Strings(orphans)
+	return orphans
+}
+
+func TestOrphanSections(t *testing.T) {
+	sections := map[string]string{"fig4a": "", "lossy": "", "fig99": ""}
+	got := orphanSections(sections, IDs())
+	if want := []string{"fig99", "lossy"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("orphanSections = %v, want %v", got, want)
 	}
 }
 

@@ -497,39 +497,6 @@ func (s *System) Directory(id netsim.NodeID) ([]DirectoryRow, error) {
 	return rows, nil
 }
 
-// EvictNode models a crash at a client node: every replica cached at id
-// and in its entire subtree is dropped (an interior crash severs the
-// update path to its descendants, so their replicas can no longer be
-// kept consistent and must be abandoned), and id is detached from its
-// parent's subscription, interest, and read-count lists. No messages are
-// counted — the crash itself is the eviction. The source (root) cannot
-// be evicted.
-func (s *System) EvictNode(id netsim.NodeID) error {
-	if !s.top.Valid(id) {
-		return fmt.Errorf("replication: invalid node %d", id)
-	}
-	if id == s.top.Root() {
-		return fmt.Errorf("replication: cannot evict the source")
-	}
-	queue := []netsim.NodeID{id}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for segIdx := range s.segs {
-			s.dirs[n][segIdx] = newSegDir()
-		}
-		queue = append(queue, s.top.Children(n)...)
-	}
-	parent := s.top.Parent(id)
-	for segIdx := range s.segs {
-		pd := s.dirs[parent][segIdx]
-		delete(pd.subscribed, id)
-		delete(pd.interested, id)
-		delete(pd.readCount, id)
-	}
-	return nil
-}
-
 // Caches reports whether node id currently holds a replica of segment j.
 func (s *System) Caches(id netsim.NodeID, segIdx int) bool {
 	if !s.top.Valid(id) || segIdx < 0 || segIdx >= len(s.segs) {
