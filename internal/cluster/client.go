@@ -9,7 +9,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +84,11 @@ type placement struct {
 	ring  *Ring
 	nodes map[string]*node
 	order []string // sorted node addresses, for deterministic walks
+
+	// plan caches how this placement splits the registry for a gather
+	// (see Client.plan); a placement swapped in by Rebalance starts
+	// without one.
+	plan atomic.Pointer[gatherPlan]
 }
 
 // Client shards streams across the fleet. Create with New, release
@@ -96,11 +102,18 @@ type Client struct {
 	// cutover.
 	pl atomic.Pointer[placement]
 
-	// regMu guards the stream registry: every stream ever ingested and
-	// how many values were handed to the wire for it (the roll-up
-	// stand-in target for shards that stop answering).
-	regMu sync.Mutex
-	sent  map[string]int64
+	// regMu guards the stream registry: every stream ever ingested, in
+	// registration order (slot maps a name to its index), and how many
+	// values were handed to the wire for it (the roll-up stand-in
+	// target for shards that stop answering). The registry only grows;
+	// sorted and sortedSlots cache the names in sorted order and each
+	// one's slot, current while they are as long as names.
+	regMu       sync.Mutex
+	slot        map[string]int
+	names       []string
+	sent        []int64
+	sorted      []string
+	sortedSlots []int
 
 	// migMu serializes Rebalance calls; progress under it is published
 	// through mig for Stats. resumePushes, under migMu, is set while the
@@ -131,7 +144,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:   cfg,
 		opts:  opts,
 		mopts: mopts,
-		sent:  make(map[string]int64),
+		slot:  make(map[string]int),
 	}
 	p := &placement{ring: ring, nodes: make(map[string]*node, len(cfg.Nodes))}
 	for _, a := range ring.Nodes() {
@@ -170,19 +183,37 @@ func (c *Client) Owner(stream string) string { return c.pl.Load().ring.Owner(str
 func (c *Client) Streams() []string {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
-	out := make([]string, 0, len(c.sent))
-	for s := range c.sent {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	sorted, _ := c.sortedLocked()
+	return append(make([]string, 0, len(sorted)), sorted...)
 }
 
 // Sent returns how many values this client has shipped for a stream.
 func (c *Client) Sent(stream string) int64 {
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
-	return c.sent[stream]
+	if i, ok := c.slot[stream]; ok {
+		return c.sent[i]
+	}
+	return 0
+}
+
+// sortedLocked returns the registered names in sorted order and each
+// one's registry slot, sorting again only after a registration. The
+// slices are shared and never modified. The caller holds regMu.
+func (c *Client) sortedLocked() ([]string, []int) {
+	if len(c.sorted) != len(c.names) {
+		slots := make([]int, len(c.names))
+		for i := range slots {
+			slots[i] = i
+		}
+		slices.SortFunc(slots, func(a, b int) int { return strings.Compare(c.names[a], c.names[b]) })
+		sorted := make([]string, len(slots))
+		for i, slot := range slots {
+			sorted[i] = c.names[slot]
+		}
+		c.sorted, c.sortedSlots = sorted, slots
+	}
+	return c.sorted, c.sortedSlots
 }
 
 // timeout returns the configured per-node deadline budget.
@@ -296,9 +327,18 @@ func (c *Client) sendTo(p *placement, n *node, batches []Batch) error {
 	return nil
 }
 
+// recordSent counts nvals values shipped for stream, registering it on
+// its first batch.
 func (c *Client) recordSent(stream string, nvals int64) {
 	c.regMu.Lock()
-	c.sent[stream] += nvals
+	i, ok := c.slot[stream]
+	if !ok {
+		i = len(c.names)
+		c.slot[stream] = i
+		c.names = append(c.names, stream)
+		c.sent = append(c.sent, 0)
+	}
+	c.sent[i] += nvals
 	c.regMu.Unlock()
 }
 

@@ -56,6 +56,58 @@ func (c *Client) degradedAnswer(stream string, cause error) PointAnswer {
 	}
 }
 
+// gatherPlan is how one placement splits the registry for a gather:
+// the registered streams in sorted order with each one's registry
+// slot, and per owner node, in placement order, the indices (into
+// streams) and names of the streams it owns. A placement keeps the
+// plan for as long as the registry does not grow, so a gather neither
+// sorts the registry nor hashes a name; plans are never modified.
+type gatherPlan struct {
+	streams []string
+	slots   []int
+	owners  []ownerPlan
+}
+
+// ownerPlan is one owner node's share of a gather.
+type ownerPlan struct {
+	n     *node
+	idxs  []int
+	names []string
+}
+
+// plan returns p's gather plan for the current registry, building (and
+// caching) a new one when streams registered since the last.
+func (c *Client) plan(p *placement) *gatherPlan {
+	c.regMu.Lock()
+	streams, slots := c.sortedLocked()
+	c.regMu.Unlock()
+	if g := p.plan.Load(); g != nil && len(g.streams) == len(streams) {
+		return g // the registry only grows, so equal length is equal content
+	}
+	at := make(map[string]int, len(p.order))
+	for k, addr := range p.order {
+		at[addr] = k
+	}
+	idxs := make([][]int, len(p.order))
+	for i, s := range streams {
+		k := at[p.ring.Owner(s)]
+		idxs[k] = append(idxs[k], i)
+	}
+	g := &gatherPlan{streams: streams, slots: slots}
+	for k, addr := range p.order {
+		if len(idxs[k]) == 0 {
+			continue
+		}
+		names := make([]string, len(idxs[k]))
+		for j, i := range idxs[k] {
+			names[j] = streams[i]
+		}
+		g.owners = append(g.owners, ownerPlan{n: p.nodes[addr], idxs: idxs[k], names: names})
+	}
+	p.plan.Store(g)
+	return g
+}
+
 // Point answers a bounded point query for one stream from its owner: a
 // one-stream batch on PointAll's path. An unreachable owner degrades to
 // the declared range's midpoint and half-width bound rather than
@@ -75,32 +127,22 @@ func (c *Client) Point(stream string, age int) PointAnswer {
 // unreachable owners come back degraded; the call errors only when
 // fewer than a quorum of owners answered.
 func (c *Client) PointAll(age int) ([]PointAnswer, error) {
-	streams := c.Streams()
-	if len(streams) == 0 {
+	p := c.pl.Load()
+	g := c.plan(p)
+	if len(g.streams) == 0 {
 		return nil, nil
 	}
-	p := c.pl.Load()
-	byOwner := make(map[*node][]int)
-	for i, s := range streams {
-		n := p.nodes[p.ring.Owner(s)]
-		byOwner[n] = append(byOwner[n], i)
-	}
-	out := make([]PointAnswer, len(streams))
+	out := make([]PointAnswer, len(g.streams))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		answered int
 	)
-	for _, addr := range p.order {
-		n := p.nodes[addr]
-		idxs := byOwner[n]
-		if len(idxs) == 0 {
-			continue
-		}
+	for _, o := range g.owners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if c.pointNode(p, n, streams, idxs, age, out) {
+			if c.pointNode(p, o.n, o.names, o.idxs, age, out) {
 				mu.Lock()
 				answered++
 				mu.Unlock()
@@ -108,24 +150,20 @@ func (c *Client) PointAll(age int) ([]PointAnswer, error) {
 		}()
 	}
 	wg.Wait()
-	if q := c.quorumOf(len(byOwner)); answered < q {
-		return out, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", answered, len(byOwner), q)
+	if q := c.quorumOf(len(g.owners)); answered < q {
+		return out, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", answered, len(g.owners), q)
 	}
 	return out, nil
 }
 
-// pointNode answers one owner's slice of a PointAll — streams[i] for
-// each i in idxs, into out[i] — reporting whether the node answered.
-// Server refusals, per stream or per frame, keep the node answered. A
-// transport failure degrades every one of its streams and counts the
-// node as unanswered. Nothing lands in out until the whole reply has
-// decoded, so pool retries after a failed attempt are safe.
-func (c *Client) pointNode(p *placement, n *node, streams []string, idxs []int, age int, out []PointAnswer) bool {
-	names := make([]string, len(idxs))
-	for k, i := range idxs {
-		names[k] = streams[i]
-	}
-	res := make([]wire.StreamPointResult, len(idxs))
+// pointNode answers one owner's slice of a PointAll — names[k] into
+// out[idxs[k]] — reporting whether the node answered. Server refusals,
+// per stream or per frame, keep the node answered. A transport failure
+// degrades every one of its streams and counts the node as unanswered.
+// Nothing lands in out until the whole reply has decoded, so pool
+// retries after a failed attempt are safe.
+func (c *Client) pointNode(p *placement, n *node, names []string, idxs []int, age int, out []PointAnswer) bool {
+	res := make([]wire.StreamPointResult, len(names))
 	err := n.pool.Do(func(bc *wire.BinClient) error {
 		bc.SetEpoch(p.ring.Epoch())
 		bc.SetDeadline(deadline(c.timeout()))
@@ -162,14 +200,11 @@ type RollUp struct {
 	NodesOK, NodesTotal int
 }
 
-// nodeFold is one owner's share of a roll-up: the request (its streams
-// as indices into the sorted stream list, their names and this
-// client's sent counts) and, once ok reports a decoded reply, the
-// partial summary of the streams it folded (nil when none) and per
-// stream the refusal that left it out.
+// nodeFold is one owner's roll-up round trip: this client's sent
+// counts for the owner's streams (in its ownerPlan's order) and, once
+// ok reports a decoded reply, the partial summary of the streams it
+// folded (nil when none) and per stream the refusal that left it out.
 type nodeFold struct {
-	idxs    []int
-	names   []string
 	sent    []int64
 	sum     *core.Summary
 	refused []error
@@ -189,35 +224,31 @@ type nodeFold struct {
 // bytes. The call errors when fewer than a quorum of owners answered,
 // or when stand-ins are needed without a declared value range.
 func (c *Client) RollUp() (*RollUp, error) {
-	streams := c.Streams()
-	if len(streams) == 0 {
+	p := c.pl.Load()
+	g := c.plan(p)
+	if len(g.streams) == 0 {
 		return nil, errors.New("cluster: no streams registered")
 	}
-	p := c.pl.Load()
+	streams := g.streams
 	sent := make([]int64, len(streams))
-	byOwner := make(map[*node]*nodeFold)
-	for i, s := range streams {
-		sent[i] = c.Sent(s)
-		n := p.nodes[p.ring.Owner(s)]
-		f := byOwner[n]
-		if f == nil {
-			f = &nodeFold{}
-			byOwner[n] = f
-		}
-		f.idxs = append(f.idxs, i)
-		f.names = append(f.names, s)
-		f.sent = append(f.sent, sent[i])
+	c.regMu.Lock()
+	for i, slot := range g.slots {
+		sent[i] = c.sent[slot]
 	}
+	c.regMu.Unlock()
+	folds := make([]nodeFold, len(g.owners))
 	var wg sync.WaitGroup
-	for _, addr := range p.order {
-		n := p.nodes[addr]
-		if f := byOwner[n]; f != nil {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.foldNode(p, n, f)
-			}()
+	for j, o := range g.owners {
+		f := &folds[j]
+		f.sent = make([]int64, len(o.idxs))
+		for k, i := range o.idxs {
+			f.sent[k] = sent[i]
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.foldNode(p, o, f)
+		}()
 	}
 	wg.Wait()
 
@@ -227,13 +258,13 @@ func (c *Client) RollUp() (*RollUp, error) {
 		nodesOK int
 		folded  = make([]bool, len(streams))
 	)
-	for _, addr := range p.order {
-		f := byOwner[p.nodes[addr]]
-		if f == nil || !f.ok {
+	for j, o := range g.owners {
+		f := &folds[j]
+		if !f.ok {
 			continue
 		}
 		nodesOK++
-		for k, i := range f.idxs {
+		for k, i := range o.idxs {
 			folded[i] = f.refused[k] == nil
 		}
 		if f.sum != nil {
@@ -242,8 +273,8 @@ func (c *Client) RollUp() (*RollUp, error) {
 			}
 		}
 	}
-	if q := c.quorumOf(len(byOwner)); nodesOK < q {
-		return nil, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", nodesOK, len(byOwner), q)
+	if q := c.quorumOf(len(g.owners)); nodesOK < q {
+		return nil, fmt.Errorf("cluster: %d of %d owners answered, quorum is %d", nodesOK, len(g.owners), q)
 	}
 
 	// Stand-ins for everything the owners could not fold. Streams with a
@@ -283,7 +314,7 @@ func (c *Client) RollUp() (*RollUp, error) {
 		Streams:    count,
 		Missing:    missing,
 		NodesOK:    nodesOK,
-		NodesTotal: len(byOwner),
+		NodesTotal: len(g.owners),
 	}, nil
 }
 
@@ -296,18 +327,18 @@ func accumulate(acc, s *core.Summary, o core.MergeOptions) (*core.Summary, error
 	return core.Accumulate(acc, s, o)
 }
 
-// foldNode runs owner n's sfold round trip for f. Nothing lands in f
+// foldNode runs owner o's sfold round trip for f. Nothing lands in f
 // until the whole reply has decoded, so pool retries after a failed
 // attempt are safe; a transport failure leaves f.ok false.
-func (c *Client) foldNode(p *placement, n *node, f *nodeFold) {
-	refused := make([]error, len(f.names))
+func (c *Client) foldNode(p *placement, o ownerPlan, f *nodeFold) {
+	refused := make([]error, len(o.names))
 	var sum *core.Summary
-	err := n.pool.Do(func(bc *wire.BinClient) error {
+	err := o.n.pool.Do(func(bc *wire.BinClient) error {
 		bc.SetEpoch(p.ring.Epoch())
 		bc.SetDeadline(deadline(c.timeout()))
 		defer bc.SetDeadline(time.Time{})
 		var err error
-		sum, err = bc.FoldStreams(c.opts, f.names, f.sent, c.mopts, refused)
+		sum, err = bc.FoldStreams(c.opts, o.names, f.sent, c.mopts, refused)
 		return err
 	})
 	if err == nil {

@@ -190,6 +190,27 @@ func Accumulate(acc, s *Summary, o MergeOptions) (*Summary, error) {
 	return acc, nil
 }
 
+// AccumulateTree folds the live tree t into acc without exporting it:
+// the result is bit-identical to Accumulate(acc, t.Export(), o). It
+// applies when acc validates and matches t in geometry and in a
+// nonzero arrival count and t is warm (every node valid) — every step
+// of a roll-up over aligned streams. Then t's ring, coefficients and
+// taint are added into acc in place under t's read lock, and applied
+// is true; on error acc is unchanged. Otherwise nothing is touched and
+// applied is false: the caller takes the export path.
+func AccumulateTree(acc *Summary, t *Tree, o MergeOptions) (applied bool, err error) {
+	if acc.Arrivals == 0 || o.check() != nil || acc.Validate() != nil {
+		return false, nil
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if acc.Arrivals != t.arrivals || acc.WindowSize != t.n || acc.MinLevel != t.minLevel ||
+		acc.Coefficients != t.k || !t.ready() {
+		return false, nil
+	}
+	return true, t.addTo(acc)
+}
+
 // MergedTree merges two live trees into a new one, leaving both inputs
 // untouched.
 func MergedTree(a, b *Tree, o MergeOptions) (*Tree, error) {
@@ -284,7 +305,7 @@ func UnknownSummary(opts Options, streams int, arrivals int64, o MergeOptions) (
 		return nil, err
 	}
 	st.streams = streams
-	s := st.exportSummary(nil)
+	s := st.exportSummary()
 	if arrivals == 0 {
 		return s, nil
 	}
@@ -424,7 +445,7 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 		st.feedConstant(mid, warm)
 		from = target - warm + 1
 	}
-	out := st.exportSummary(nil)
+	out := st.exportSummary()
 	if half > 0 {
 		out.Taint = append(out.Taint, TaintSpan{From: from, To: target, Half: half})
 	}
@@ -454,12 +475,12 @@ func (t *treeState) feedConstant(v float64, count int64) {
 // resolution but never correctness. On error a is unchanged.
 func addAligned(a, b *Summary) error {
 	if len(a.Ring) != len(b.Ring) || len(a.Nodes) != len(b.Nodes) {
-		return fmt.Errorf("core: internal error: aligned summaries disagree in shape")
+		return errShape
 	}
 	for i := range a.Nodes {
 		na, nb := &a.Nodes[i], &b.Nodes[i]
 		if na.Valid && nb.Valid && na.Birth != nb.Birth {
-			return fmt.Errorf("core: merge: node %v%d births diverge (%d vs %d) despite equal arrivals", na.Role, na.Level, na.Birth, nb.Birth)
+			return errBirths(na, nb.Birth)
 		}
 	}
 	a.Streams += b.Streams
@@ -481,6 +502,57 @@ func addAligned(a, b *Summary) error {
 	}
 	a.Taint = normalizeTaint(append(a.Taint, b.Taint...), a.Arrivals, a.WindowSize)
 	return nil
+}
+
+// addTo is addAligned(a, t's export) without the export, for a warm
+// state whose geometry and arrival count a shares; the caller holds
+// t's lock. On error a is unchanged.
+func (t *treeState) addTo(a *Summary) error {
+	if len(a.Ring) != t.recentLen || len(a.Nodes) != t.numNodes() {
+		return errShape
+	}
+	i := 0
+	for l := t.minLevel; l < t.levels; l++ {
+		for role := Right; int(role) < t.rolesAt(l); role++ {
+			if na := &a.Nodes[i]; na.Valid && na.Birth != t.nodes[l][role].birth {
+				return errBirths(na, t.nodes[l][role].birth)
+			}
+			i++
+		}
+	}
+	a.Streams += t.streams
+	if t.nodeUpdates > a.NodeUpdates {
+		a.NodeUpdates = t.nodeUpdates
+	}
+	for age := range a.Ring {
+		a.Ring[age] += t.ringAt(age)
+	}
+	i = 0
+	for l := t.minLevel; l < t.levels; l++ {
+		for role := Right; int(role) < t.rolesAt(l); role++ {
+			na := &a.Nodes[i]
+			i++
+			if !na.Valid {
+				*na = SummaryNode{Level: na.Level, Role: na.Role}
+				continue
+			}
+			for j, c := range t.nodes[l][role].coeffs {
+				na.Coeffs[j] += c
+			}
+		}
+	}
+	a.Taint = normalizeTaint(append(a.Taint, t.taint...), a.Arrivals, a.WindowSize)
+	return nil
+}
+
+// errShape reports aligned inputs whose ring or node counts differ,
+// which validated inputs of equal geometry and arrivals never do.
+var errShape = errors.New("core: internal error: aligned summaries disagree in shape")
+
+// errBirths reports an aligned node whose births differ between the
+// inputs, a's node na and the other side's birth.
+func errBirths(na *SummaryNode, birth int64) error {
+	return fmt.Errorf("core: merge: node %v%d births diverge (%d vs %d) despite equal arrivals", na.Role, na.Level, na.Birth, birth)
 }
 
 // normalizeTaint prunes spans no served block can reach anymore,

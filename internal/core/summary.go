@@ -216,46 +216,28 @@ func (s *Summary) Validate() error {
 
 // Export snapshots the tree as a Summary: an isolated, level-aligned
 // copy of its complete state, safe to retain, merge, and ship.
-func (t *Tree) Export() *Summary { return t.ExportInto(nil) }
-
-// ExportInto is Export into dst's storage, reused wherever it is large
-// enough, so a caller exporting many trees of one geometry in turn — a
-// roll-up fold — allocates nothing per tree once dst has grown. The
-// result is dst (a new summary when dst is nil) and stays valid until
-// dst is exported into again.
-func (t *Tree) ExportInto(dst *Summary) *Summary {
+func (t *Tree) Export() *Summary {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.exportSummary(dst)
+	return t.exportSummary()
 }
 
 // exportSummary builds the Summary for a state the caller has
-// synchronized access to (the tree lock, or a detached state), in
-// dst's storage when dst is not nil.
-func (t *treeState) exportSummary(dst *Summary) *Summary {
-	if dst == nil {
-		dst = &Summary{}
-	}
-	ring, nodes := dst.Ring, dst.Nodes
-	if cap(ring) < t.recentLen {
-		ring = make([]float64, t.recentLen)
-	}
-	if cap(nodes) < t.numNodes() {
-		nodes = make([]SummaryNode, t.numNodes())
-	}
-	*dst = Summary{
+// synchronized access to (the tree lock, or a detached state).
+func (t *treeState) exportSummary() *Summary {
+	s := &Summary{
 		WindowSize:   t.n,
 		MinLevel:     t.minLevel,
 		Coefficients: t.k,
 		Streams:      t.streams,
 		Arrivals:     t.arrivals,
 		NodeUpdates:  t.nodeUpdates,
-		Ring:         ring[:t.recentLen],
-		Nodes:        nodes[:0],
-		Taint:        append(dst.Taint[:0], t.taint...),
+		Ring:         make([]float64, t.recentLen),
+		Nodes:        make([]SummaryNode, 0, t.numNodes()),
+		Taint:        append([]TaintSpan(nil), t.taint...),
 	}
-	for age := range dst.Ring {
-		dst.Ring[age] = t.ringAt(age)
+	for age := range s.Ring {
+		s.Ring[age] = t.ringAt(age)
 	}
 	for l := t.minLevel; l < t.levels; l++ {
 		for role := Right; int(role) < t.rolesAt(l); role++ {
@@ -263,13 +245,12 @@ func (t *treeState) exportSummary(dst *Summary) *Summary {
 			sn := SummaryNode{Level: l, Role: role, Valid: nd.valid}
 			if nd.valid {
 				sn.Birth = nd.birth
-				// The slot's previous coefficients, if any, take the copy.
-				sn.Coeffs = append(nodes[:cap(nodes)][len(dst.Nodes)].Coeffs[:0], nd.coeffs...)
+				sn.Coeffs = append([]float64(nil), nd.coeffs...)
 			}
-			dst.Nodes = append(dst.Nodes, sn)
+			s.Nodes = append(s.Nodes, sn)
 		}
 	}
-	return dst
+	return s
 }
 
 // AppendSummary appends the tree's encoded summary — one self-contained

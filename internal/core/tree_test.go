@@ -105,17 +105,6 @@ func nodeValue(t *testing.T, tr *Tree, level int, role Role) float64 {
 	return 0
 }
 
-func nodeSpan(t *testing.T, tr *Tree, level int, role Role) (int, int) {
-	t.Helper()
-	for _, ni := range tr.Nodes() {
-		if ni.Level == level && ni.Role == role {
-			return ni.Start, ni.End
-		}
-	}
-	t.Fatalf("node %v%d not found", role, level)
-	return 0, 0
-}
-
 // TestPaperExecutionTrace replays the execution trace of paper Fig. 2
 // (N=16): the initial window is chosen to satisfy the node values the
 // trace states, then values 4, 6, 2, 10, 4 arrive and the node contents

@@ -2,6 +2,7 @@ package multi
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -87,6 +88,40 @@ func TestFoldSummary(t *testing.T) {
 	}
 	if _, err := m.FoldSummary(names, sent[:1], foldRange, refused); err == nil {
 		t.Error("fold with mismatched sent counts accepted")
+	}
+}
+
+// TestFoldSummaryAllocs pins the fold's allocations to its first
+// stream: over K warm, aligned streams FoldSummary allocates the first
+// stream's export and its tree list, the same count at K = 16 and at
+// K = 1024, because every later stream is added straight from its tree.
+func TestFoldSummaryAllocs(t *testing.T) {
+	m := mustMonitor(t, Options{WindowSize: 1024, Coefficients: 1})
+	defer m.Close()
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%04d", i)
+		feedStream(t, m, names[i], int64(i+1), 2048)
+	}
+	first, err := m.Tree(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testing.AllocsPerRun(10, func() { first.Export() }) + 1
+	for _, k := range []int{16, 1024} {
+		sent, refused := make([]int64, k), make([]error, k)
+		var sum *core.Summary
+		allocs := testing.AllocsPerRun(10, func() {
+			if sum, err = m.FoldSummary(names[:k], sent, foldRange, refused); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if sum == nil || sum.Streams != k {
+			t.Fatalf("K = %d: fold = %v", k, sum)
+		}
+		if allocs != want {
+			t.Errorf("K = %d: FoldSummary allocates %v times, want %v (the first export and the tree list)", k, allocs, want)
+		}
 	}
 }
 

@@ -62,14 +62,17 @@ func (m *Monitor) MergeFrom(src *Monitor, o core.MergeOptions) error {
 // FoldSummary folds the named streams into one summary of their
 // time-aligned sum — the combiner step of a cluster roll-up, so one
 // summary per node crosses the network instead of one per stream.
-// Streams fold in names order: each tree is exported, advanced with
-// tainted midpoints when it lags sent[i] (the count the caller shipped
-// for it: the shard lost arrivals; core.AdvanceSummary says which gaps
-// the taint covers), and accumulated in place. A name this monitor
-// does not hold, a tree that has not warmed up, or a stream the fold
-// rejects is left out, with its reason in refused[i]. The result is
-// nil when nothing folded. The fold only reads the trees, so durable
-// monitors are allowed.
+// Streams fold in names order. The first exports the accumulator;
+// each later stream aligned with it (same arrival count, warm, not
+// lagging sent[i]) is added straight from its tree
+// (core.AccumulateTree), with no export. Any other stream is exported,
+// advanced with tainted midpoints when it lags sent[i] (the count the
+// caller shipped for it: the shard lost arrivals; core.AdvanceSummary
+// says which gaps the taint covers), and accumulated. A name this
+// monitor does not hold, a tree that has not warmed up, or a stream
+// the fold rejects is left out, with its reason in refused[i]. The
+// result is nil when nothing folded. The fold only reads the trees, so
+// durable monitors are allowed.
 func (m *Monitor) FoldSummary(names []string, sent []int64, o core.MergeOptions, refused []error) (*core.Summary, error) {
 	if len(sent) != len(names) || len(refused) != len(names) {
 		return nil, fmt.Errorf("multi: fold of %d streams given %d sent counts and %d refusal slots", len(names), len(sent), len(refused))
@@ -87,22 +90,24 @@ func (m *Monitor) FoldSummary(names []string, sent []int64, o core.MergeOptions,
 	}
 	m.reg.RUnlock()
 
-	var acc, scratch *core.Summary
+	var acc *core.Summary
 	for i, tree := range trees {
 		refused[i] = nil
 		if tree == nil {
 			refused[i] = fmt.Errorf("multi: unknown stream %q", names[i])
 			continue
 		}
-		// Once the accumulator exists, every export lands in one scratch
-		// summary: the fold makes no garbage per stream.
-		var s *core.Summary
-		if acc == nil {
-			s = tree.Export()
-		} else {
-			s = tree.ExportInto(scratch)
-			scratch = s
+		// A tree at acc's arrival count cannot lag sent[i] when acc
+		// does not.
+		if acc != nil && acc.Arrivals >= sent[i] {
+			if applied, err := core.AccumulateTree(acc, tree, o); applied {
+				if err != nil {
+					refused[i] = fmt.Errorf("multi: fold %q: %w", names[i], err)
+				}
+				continue // a failed add leaves acc as it was
+			}
 		}
+		s := tree.Export()
 		if !warm(s) {
 			refused[i] = fmt.Errorf("multi: stream %q is cold: its tree has not warmed up", names[i])
 			continue

@@ -155,7 +155,6 @@ var (
 	errFrameLength    = errors.New("wire: binary frame length inconsistent")
 	errFrameType      = errors.New("wire: unknown binary frame type")
 	errBatchSequence  = errors.New("wire: data batch breaks the connection's value sequence")
-	errBatchTooLarge  = errors.New("wire: batch exceeds the per-frame value limit")
 	errSummaryLarge   = errors.New("wire: summary exceeds the frame limit")
 )
 
