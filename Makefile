@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint race verify cover bench bench-hotpath bench-query bench-wire bench-merge bench-cluster bench-cluster-smoke bench-smoke fuzz-smoke
+.PHONY: build test test-short vet lint race verify cover bench bench-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -46,7 +46,7 @@ race:
 	$(GO) test -race -count=1 $(RACE_FULL)
 	$(GO) test -race -count=1 -short $$($(GO) list ./... | grep -v -x -e '.*/internal/wire' -e '.*/internal/cluster')
 
-verify: build vet lint test race bench-smoke bench-cluster-smoke fuzz-smoke
+verify: build vet lint test race bench-smoke fuzz-smoke
 
 # Short coverage-guided fuzzing on every fuzz target (frame decoding,
 # server dispatch, batched-update equivalence, snapshot decoding, merge
@@ -76,38 +76,10 @@ cover:
 	$(GO) test -covermode=atomic -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
+# The repository benchmark (BENCHMARK.json): all four workloads, end to
+# end and through the per-layer ladder. See bench/README.md.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Hot-path micro-benchmarks only; writes BENCH_hotpath.{txt,json}.
-bench-hotpath:
-	scripts/bench.sh 6 hotpath
-
-# Serve-side benchmarks (compiled plans, concurrent AnswerBatch,
-# histogram cache); writes BENCH_query.{txt,json}.
-bench-query:
-	scripts/bench.sh 6 query
-
-# Wire-protocol benchmarks over loopback TCP (binary ingest, acknowledged
-# ingest and batched queries); writes BENCH_wire.{txt,json}.
-bench-wire:
-	scripts/bench.sh 6 wire
-
-# Summary merge and canonical-encoding benchmarks (the distributed
-# roll-up path); writes BENCH_merge.{txt,json}.
-bench-merge:
-	scripts/bench.sh 6 merge
-
-# Multi-process cluster benchmark: 1/2/4 swatd nodes behind
-# cluster.Client sharding, with scatter-gather latency; writes
-# BENCH_cluster.{txt,json}. The smoke variant boots one node and drives
-# it for a second — a tripwire for the swatd/swatload/cluster stack,
-# part of `verify`.
-bench-cluster:
-	scripts/bench_cluster.sh 5s
-
-bench-cluster-smoke:
-	scripts/bench_cluster.sh smoke
+	bash bench/run.sh
 
 # Run every benchmark exactly once — a compile-and-run tripwire, not a
 # measurement. Part of `verify` so a benchmark that stops building or

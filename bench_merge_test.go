@@ -1,12 +1,7 @@
 package swat_test
 
-// Merge-path benchmarks: rolling exported summaries together and the
-// canonical summary encoding itself. These are the costs of the
-// distributed roll-up flow — an aggregator merging a fleet of edge
-// summaries, and every node exporting its state for shipment — so both
-// are measured allocation-aware, and the encoder additionally carries
-// an AllocsPerRun guard (TestAppendSummaryDoesNotAllocate in
-// internal/core) pinning its steady state at zero.
+// Merge-path benchmarks: rolling exported summaries together, the
+// aggregator's side of the distributed roll-up flow.
 
 import (
 	"testing"
@@ -65,48 +60,6 @@ func BenchmarkTreeMergeSkewed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := swat.MergeSummaries(sa, sb, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSummaryEncode measures the canonical wire encoding with a
-// reused buffer — the steady state of periodic summary shipment.
-func BenchmarkSummaryEncode(b *testing.B) {
-	tree, err := swat.NewTree(swat.TreeOptions{WindowSize: 1 << 16, Coefficients: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := swat.Uniform(4)
-	for i := 0; i < 3<<16; i++ {
-		tree.Update(src.Next())
-	}
-	buf := tree.AppendSummary(nil)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = tree.AppendSummary(buf[:0])
-	}
-}
-
-// BenchmarkSummaryDecode is the receiving side: frame to validated
-// Summary.
-func BenchmarkSummaryDecode(b *testing.B) {
-	tree, err := swat.NewTree(swat.TreeOptions{WindowSize: 1 << 16, Coefficients: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := swat.Uniform(5)
-	for i := 0; i < 3<<16; i++ {
-		tree.Update(src.Next())
-	}
-	frame := tree.AppendSummary(nil)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := swat.DecodeSummary(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

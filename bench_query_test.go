@@ -1,15 +1,9 @@
 package swat_test
 
-// Serve-side benchmarks: compiled plans versus the ad-hoc query path,
-// batched query throughput under concurrency, and the histogram
-// baseline's cached versus cold query cost. scripts/bench.sh runs these
-// and records the results in BENCH_query.{txt,json}; `make bench-smoke`
-// runs each once as a CI regression tripwire.
+// Serve-side benchmarks: the ad-hoc query path and the histogram
+// baseline's cached versus cold query cost.
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	swat "github.com/streamsum/swat"
@@ -43,138 +37,6 @@ func BenchmarkQueryAdhoc(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkQueryPlan measures the compiled path for the same repeated
-// fixed query: the cover is compiled once and every Eval is a flat dot
-// product over the covering nodes. Must report 0 allocs/op.
-func BenchmarkQueryPlan(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			tree := newWarmTree(b, n)
-			q := fixedQuery(b)
-			plan, err := tree.Compile(q.Ages, q.Weights)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Eval(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkQueryPlanPerArrival measures the compiled path's worst case:
-// one arrival between every evaluation, so each Eval pays a recompile.
-// This bounds the plan's overhead when queries are no more frequent
-// than arrivals.
-func BenchmarkQueryPlanPerArrival(b *testing.B) {
-	tree := newWarmTree(b, 1024)
-	q := fixedQuery(b)
-	plan, err := tree.Compile(q.Ages, q.Weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := swat.Uniform(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Update(src.Next())
-		if _, err := plan.Eval(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// queryBatch builds a mixed 64-query batch over a window of size n.
-func queryBatch(b *testing.B, n int) []swat.Query {
-	b.Helper()
-	gen, err := swat.NewQueryGenerator(swat.Exponential, swat.Random, n, 64, 0, 17)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qs := make([]swat.Query, 64)
-	for i := range qs {
-		qs[i] = gen.Next()
-	}
-	return qs
-}
-
-// BenchmarkAnswerBatch measures batched query throughput from 1, 2, 4,
-// and 8 goroutines sharing one tree; one op is one 64-query batch. On
-// multi-core hardware the read path scales with goroutines (queries
-// take the tree's reader lock and own pooled scratch); on a single
-// core the value of the concurrent path is that queries need no
-// external serialization against ingest.
-func BenchmarkAnswerBatch(b *testing.B) {
-	const n = 4096
-	for _, g := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			tree := newWarmTree(b, n)
-			qs := queryBatch(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var next int64
-			var wg sync.WaitGroup
-			for w := 0; w < g; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					dst := make([]float64, len(qs))
-					for atomic.AddInt64(&next, 1) <= int64(b.N) {
-						if err := tree.AnswerBatch(dst, qs); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkAnswerBatchWithIngest measures serve throughput while a
-// writer goroutine ingests continuously — the serve-while-ingesting
-// steady state the concurrent read path exists for.
-func BenchmarkAnswerBatchWithIngest(b *testing.B) {
-	const n = 4096
-	tree := newWarmTree(b, n)
-	qs := queryBatch(b, n)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		src := swat.Uniform(29)
-		buf := make([]float64, 64)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for i := range buf {
-				buf[i] = src.Next()
-			}
-			tree.UpdateBatch(buf)
-		}
-	}()
-	dst := make([]float64, len(qs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tree.AnswerBatch(dst, qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
 }
 
 // BenchmarkHistogramQuery compares the Guha–Koudas baseline's repeated
@@ -212,58 +74,6 @@ func BenchmarkHistogramQuery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := swat.ApproxInnerProduct(h, q); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMonitorQueryAll measures the parallel query fan-out across a
-// 64-stream monitor, one shard versus one per core.
-func BenchmarkMonitorQueryAll(b *testing.B) {
-	const streams = 64
-	q := fixedQuery(b)
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 1},
-		{"shards=NumCPU", 0},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			mon, err := swat.NewMonitor(swat.MonitorOptions{WindowSize: 1024, Shards: cfg.shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer mon.Close()
-			for i := 0; i < streams; i++ {
-				if err := mon.Add(string(rune('a'+i/26)) + string(rune('a'+i%26))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			src := swat.Uniform(7)
-			rows := make([][]float64, 64)
-			for t := range rows {
-				rows[t] = make([]float64, streams)
-				for i := range rows[t] {
-					rows[t][i] = src.Next()
-				}
-			}
-			for i := 0; i < 2*1024/64; i++ {
-				if err := mon.ObserveAllBatch(rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				answers, err := mon.QueryAll(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, a := range answers {
-					if a.Err != nil {
-						b.Fatal(a.Err)
-					}
 				}
 			}
 		})

@@ -81,66 +81,6 @@ func BenchmarkTreeUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeUpdateBatch measures amortized per-value cost of the
-// batched arrival path at batch size 64.
-func BenchmarkTreeUpdateBatch(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			tree, err := swat.NewTree(swat.TreeOptions{WindowSize: n, MinLevel: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := swat.Uniform(1)
-			batch := make([]float64, 64)
-			for i := 0; i < 2*n/len(batch); i++ {
-				for j := range batch {
-					batch[j] = src.Next()
-				}
-				tree.UpdateBatch(batch)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i += len(batch) {
-				tree.UpdateBatch(batch)
-			}
-		})
-	}
-}
-
-// BenchmarkTreeUpdateBatchFull measures the batched arrival path on
-// full trees (MinLevel 0): swatd's ingest shape (N=1024, k=1, batches
-// of 256) and the query-node feeder's geometry (N=4096, k=4). Per-value
-// cost is ns/op divided by the batch length.
-func BenchmarkTreeUpdateBatchFull(b *testing.B) {
-	for _, c := range []struct {
-		name    string
-		n, k, m int
-	}{
-		{"N=1024/k=1/b=256", 1024, 1, 256},
-		{"N=4096/k=4/b=256", 4096, 4, 256},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			tree, err := swat.NewTree(swat.TreeOptions{WindowSize: c.n, Coefficients: c.k})
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := swat.Uniform(1)
-			batch := make([]float64, c.m)
-			for j := range batch {
-				batch[j] = src.Next()
-			}
-			for i := 0; i < 2*c.n/c.m; i++ {
-				tree.UpdateBatch(batch)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tree.UpdateBatch(batch)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.m), "ns/value")
-		})
-	}
-}
-
 // BenchmarkTreePointQuery measures the O(log N) point-query path.
 func BenchmarkTreePointQuery(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
@@ -416,15 +356,4 @@ func BenchmarkForecast(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTreeSnapshot measures checkpoint serialization.
-func BenchmarkTreeSnapshot(b *testing.B) {
-	tree := newWarmTree(b, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.MarshalBinary(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,12 +1,9 @@
 package swat_test
 
 // Wire-protocol benchmarks over real loopback TCP for the binary data
-// plane. One op is one message (one data frame, or one acknowledged or
-// query round trip), so ns/op is per-message cost and the reported
-// msgs/s columns compare directly.
-// `make bench-wire` digests these into BENCH_wire.{txt,json}; the v2
-// ingest rows must show 0 allocs/op — the steady-state zero-copy claim
-// the //swat:noalloc annotations make statically.
+// plane. One op is one message (one data frame, or one acknowledged
+// round trip), so ns/op is per-message cost and the reported msgs/s
+// columns compare directly.
 
 import (
 	"sort"
@@ -14,7 +11,6 @@ import (
 	"time"
 
 	"github.com/streamsum/swat/internal/core"
-	"github.com/streamsum/swat/internal/query"
 	"github.com/streamsum/swat/internal/wire"
 )
 
@@ -109,45 +105,4 @@ func BenchmarkWireV2IngestLatency(b *testing.B) {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	p99 := lats[int(0.99*float64(len(lats)-1))]
 	b.ReportMetric(float64(p99)/float64(time.Microsecond), "p99-us")
-}
-
-// BenchmarkWireV2QueryBatch answers four range queries per frame
-// against a full window.
-func BenchmarkWireV2QueryBatch(b *testing.B) {
-	addr := startBenchServer(b)
-	c, err := wire.DialBinary(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	vals := make([]float64, 256)
-	for i := range vals {
-		vals[i] = float64(i%19) * 0.5
-	}
-	for i := 0; i < 8; i++ {
-		if err := c.FeedBatch(vals); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := c.Ping(); err != nil {
-		b.Fatal(err)
-	}
-	var qs []query.Query
-	for _, span := range []int{8, 32, 128, 512} {
-		q, err := query.New(query.Exponential, 0, span, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		qs = append(qs, q)
-	}
-	dst := make([]float64, len(qs))
-	if err := c.QueryBatch(qs, dst); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.QueryBatch(qs, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -1,7 +1,5 @@
-// Command swatload drives a swatd server at line rate and reports
-// ingest throughput and latency — the load-generator counterpart of
-// the wire protocol benchmarks, for measuring a real deployment
-// instead of a loopback.
+// Command swatload drives a swatd server, or a fleet of them, at line
+// rate and reports ingest throughput and latency of a real deployment.
 //
 // Usage:
 //
