@@ -1,7 +1,7 @@
 package swat_test
 
-// Serve-side benchmarks: the ad-hoc query path and the histogram
-// baseline's cached versus cold query cost.
+// Serve-side benchmarks: the histogram baseline's cached versus cold
+// query cost.
 
 import (
 	"testing"
@@ -18,25 +18,6 @@ func fixedQuery(b *testing.B) swat.Query {
 		b.Fatal(err)
 	}
 	return q
-}
-
-// BenchmarkQueryAdhoc measures the uncompiled path a repeated fixed
-// query pays today: a full node-cover scan and per-age reconstruction
-// on every evaluation.
-func BenchmarkQueryAdhoc(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			tree := newWarmTree(b, n)
-			q := fixedQuery(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := swat.ApproxInnerProduct(tree, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkHistogramQuery compares the Guha–Koudas baseline's repeated

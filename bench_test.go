@@ -1,57 +1,17 @@
 package swat_test
 
-// One benchmark per table and figure of the paper's evaluation — each
-// regenerates the figure's rows via the experiments harness at Quick
-// scale (use cmd/swatbench -scale paper for full-size runs) — plus
-// micro-benchmarks of the primitive operations the paper's complexity
+// Micro-benchmarks of the primitive operations the paper's complexity
 // analysis covers (§2.6): O(1) amortized updates, polylogarithmic
-// queries, and the expensive histogram rebuild of the baseline.
+// queries, and the expensive histogram rebuild of the baseline. The
+// paper's figures and tables are not benchmarked here: TestRunAllQuick
+// (internal/experiments) regenerates each at Quick scale and pins its
+// rows byte for byte, and cmd/swatbench runs them at paper scale.
 
 import (
 	"testing"
 
 	swat "github.com/streamsum/swat"
-	"github.com/streamsum/swat/internal/experiments"
 )
-
-// benchExperiment regenerates one figure per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, experiments.Quick); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Figures of §2.7 — centralized summarization.
-func BenchmarkFig4a(b *testing.B) { benchExperiment(b, "fig4a") }
-func BenchmarkFig4b(b *testing.B) { benchExperiment(b, "fig4b") }
-func BenchmarkFig4c(b *testing.B) { benchExperiment(b, "fig4c") }
-func BenchmarkFig5a(b *testing.B) { benchExperiment(b, "fig5a") }
-func BenchmarkFig5b(b *testing.B) { benchExperiment(b, "fig5b") }
-func BenchmarkFig5c(b *testing.B) { benchExperiment(b, "fig5c") }
-func BenchmarkFig5d(b *testing.B) { benchExperiment(b, "fig5d") }
-func BenchmarkFig5e(b *testing.B) { benchExperiment(b, "fig5e") }
-func BenchmarkFig5f(b *testing.B) { benchExperiment(b, "fig5f") }
-func BenchmarkFig6a(b *testing.B) { benchExperiment(b, "fig6a") }
-func BenchmarkFig6b(b *testing.B) { benchExperiment(b, "fig6b") }
-
-// Table 1 and the distributed experiments of §5.
-func BenchmarkTab1(b *testing.B)   { benchExperiment(b, "tab1") }
-func BenchmarkFig9a(b *testing.B)  { benchExperiment(b, "fig9a") }
-func BenchmarkFig9b(b *testing.B)  { benchExperiment(b, "fig9b") }
-func BenchmarkFig9c(b *testing.B)  { benchExperiment(b, "fig9c") }
-func BenchmarkFig10a(b *testing.B) { benchExperiment(b, "fig10a") }
-func BenchmarkFig10b(b *testing.B) { benchExperiment(b, "fig10b") }
-
-// Ablations over the design choices called out in DESIGN.md.
-func BenchmarkAblationCoefficients(b *testing.B) { benchExperiment(b, "ablation-coeffs") }
-func BenchmarkAblationLevels(b *testing.B)       { benchExperiment(b, "ablation-levels") }
-func BenchmarkAblationWaveletBasis(b *testing.B) { benchExperiment(b, "ablation-basis") }
-func BenchmarkAblationPhaseLength(b *testing.B)  { benchExperiment(b, "ablation-phase") }
-
-// --- Micro-benchmarks -------------------------------------------------
 
 func newWarmTree(b *testing.B, n int) *swat.Tree {
 	b.Helper()
@@ -97,15 +57,14 @@ func BenchmarkTreePointQuery(b *testing.B) {
 }
 
 // BenchmarkTreeInnerProduct measures inner-product evaluation for the
-// paper's O(M + log² N) bound at M = 16.
+// paper's O(M + log² N) bound at M = 16: the uncompiled path, a node
+// cover and per-age reconstruction on every evaluation.
 func BenchmarkTreeInnerProduct(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(sizeName(n), func(b *testing.B) {
 			tree := newWarmTree(b, n)
-			q, err := swat.NewQuery(swat.Exponential, 0, 16, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			q := fixedQuery(b)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := swat.ApproxInnerProduct(tree, q); err != nil {
@@ -231,9 +190,6 @@ func sizeName(n int) string {
 		return "N=?"
 	}
 }
-
-// BenchmarkAblationBucketing compares histogram bucketing strategies.
-func BenchmarkAblationBucketing(b *testing.B) { benchExperiment(b, "ablation-bucketing") }
 
 // BenchmarkMonitorCorrelation measures a summary-based correlation scan
 // over 32 streams.

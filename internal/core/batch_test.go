@@ -13,9 +13,9 @@ import (
 // for random geometries, random batch boundaries, and random inputs,
 // UpdateBatch must leave the tree in bit-identical state to feeding the
 // same values one at a time through Update. State identity is checked
-// through the binary snapshot, which captures every field the update
-// path touches (ring, counters, node validity, birth, coefficients),
-// and through the canonical summary encoding. Besides fresh trees, the
+// field by field over everything the update path touches (ring and
+// its head, counters, node validity, birth, coefficients), and through
+// the canonical summary encoding. Besides fresh trees, the
 // property must hold from every state a tree can be rebuilt into:
 // restored mid-cycle from a snapshot or from a summary with a partial
 // ring, and produced by a skewed merge (several streams, tainted

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -26,7 +27,7 @@ func batchSeed(window, k, minLevel byte, reps int, sizes ...byte) []byte {
 // batch-equivalence property: arbitrary input bytes choose the tree
 // geometry, the stream values, and the batch split points, and
 // UpdateBatch must leave the tree, at the end of every batch,
-// bit-identical (via the binary snapshot and the summary encoding) to
+// bit-identical (field by field and in the summary encoding) to
 // feeding the same values one at a time through Update. Like all Go fuzz targets, the checked-in
 // corpus runs as part of the normal test suite.
 //
@@ -116,25 +117,49 @@ func FuzzUpdateBatchEquivalence(f *testing.F) {
 	})
 }
 
-// requireSameState fails unless two trees are bit-identical in both of
-// their encodings: the binary snapshot, which also carries the raw ring
-// position and the births of invalid nodes, and the canonical summary.
+// requireSameState fails unless two trees are bit-identical field by
+// field — counters, the raw ring with its head, every node's validity
+// and birth (invalid births included) and valid coefficients, taint —
+// and in the canonical summary encoding. The summary alone would not
+// do: it emits the ring in age order and drops invalid births.
 func requireSameState(t *testing.T, want, got *Tree) {
 	t.Helper()
-	wb, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb, gb) {
-		t.Fatalf("geometry N=%d k=%d minLevel=%d after %d arrivals: snapshots differ",
-			want.WindowSize(), want.Coefficients(), want.MinLevel(), want.Arrivals())
+	if d := stateDiff(&want.treeState, &got.treeState); d != "" {
+		t.Fatalf("geometry N=%d k=%d minLevel=%d after %d arrivals: %s differs",
+			want.WindowSize(), want.Coefficients(), want.MinLevel(), want.Arrivals(), d)
 	}
 	if !bytes.Equal(want.AppendSummary(nil), got.AppendSummary(nil)) {
 		t.Fatalf("geometry N=%d k=%d minLevel=%d after %d arrivals: summaries differ",
 			want.WindowSize(), want.Coefficients(), want.MinLevel(), want.Arrivals())
 	}
+}
+
+// stateDiff names the first field in which two tree states differ, or
+// returns "" when they agree bit for bit. Floats compare by their bits.
+func stateDiff(a, b *treeState) string {
+	switch {
+	case a.n != b.n || a.minLevel != b.minLevel || a.k != b.k:
+		return "geometry"
+	case a.arrivals != b.arrivals || a.nodeUpdates != b.nodeUpdates || a.streams != b.streams:
+		return "counters"
+	case a.recentHead != b.recentHead || a.recentLen != b.recentLen || !sameFloats(a.recent, b.recent):
+		return "ring"
+	case len(a.taint) != len(b.taint):
+		return "taint"
+	}
+	for i := range a.taint {
+		if a.taint[i].From != b.taint[i].From || a.taint[i].To != b.taint[i].To ||
+			!sameBits(a.taint[i].Half, b.taint[i].Half) {
+			return "taint"
+		}
+	}
+	for l := a.minLevel; l < a.levels; l++ {
+		for role := Right; int(role) < a.rolesAt(l); role++ {
+			na, nb := &a.nodes[l][role], &b.nodes[l][role]
+			if na.valid != nb.valid || na.birth != nb.birth || (na.valid && !sameFloats(na.coeffs, nb.coeffs)) {
+				return fmt.Sprintf("node %v%d", role, l)
+			}
+		}
+	}
+	return ""
 }

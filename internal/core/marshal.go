@@ -2,261 +2,31 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math"
+	"errors"
 )
 
-// Binary snapshot format for checkpointing a SWAT tree. The format is
-// versioned and self-describing enough to reject corrupted or
-// incompatible snapshots:
-//
-//	magic "SWAT" | version u16 | N u32 | minLevel u16 | k u16 |
-//	arrivals i64 | nodeUpdates u64 |
-//	recentHead i32 | recentLen i32 | recent [cap]f64 |
-//	nodes: for each level minLevel..levels-1, for each role (R, then
-//	S and L below the top level): valid u8 | birth i64 |
-//	coeffCount u16 | coeffs [count]f64
-//
-// Version 2 appends the merge bookkeeping (see merge.go) after the
-// nodes; version-1 snapshots still load, with the pre-merge defaults
-// (one source stream, no taint):
-//
-//	streams u32 | taintCount u32 | taint [count]×(from i64 | to i64 |
-//	half f64)
+// ErrLegacySnapshot refuses a body in the field-by-field "SWAT" snapshot
+// format that preceded the summary frame. Such a body cannot be a
+// summary frame: its first four bytes would declare a ~1.4 GB body.
+var ErrLegacySnapshot = errors.New("core: legacy SWAT snapshot format is no longer supported")
 
-const (
-	snapshotMagic   = "SWAT"
-	snapshotVersion = uint16(2)
-)
-
-// MarshalBinary serializes the full tree state. It implements
-// encoding.BinaryMarshaler; a restored tree continues exactly where the
-// original left off.
+// MarshalBinary serializes the full tree state as its summary frame
+// (AppendSummary). It implements encoding.BinaryMarshaler; a restored
+// tree continues exactly where the original left off.
 func (t *Tree) MarshalBinary() ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagic)
-	w := func(v any) {
-		// bytes.Buffer writes cannot fail; binary.Write only fails on
-		// unsupported types, which would be a programming error here.
-		if err := binary.Write(&buf, binary.BigEndian, v); err != nil {
-			panic(fmt.Sprintf("core: snapshot encode: %v", err))
-		}
-	}
-	w(snapshotVersion)
-	w(uint32(t.n))
-	w(uint16(t.minLevel))
-	w(uint16(t.k))
-	w(t.arrivals)
-	w(t.nodeUpdates)
-	w(int32(t.recentHead))
-	w(int32(t.recentLen))
-	for _, v := range t.recent {
-		w(math.Float64bits(v))
-	}
-	for l := t.minLevel; l < t.levels; l++ {
-		roles := []Role{Right, Shift, Left}
-		if l == t.levels-1 {
-			roles = roles[:1]
-		}
-		for _, role := range roles {
-			nd := &t.nodes[l][role]
-			valid := uint8(0)
-			count := 0
-			if nd.valid {
-				valid = 1
-				count = len(nd.coeffs)
-			}
-			w(valid)
-			w(nd.birth)
-			w(uint16(count))
-			for _, c := range nd.coeffs[:count] {
-				w(math.Float64bits(c))
-			}
-		}
-	}
-	w(uint32(t.streams))
-	w(uint32(len(t.taint)))
-	for _, sp := range t.taint {
-		w(sp.From)
-		w(sp.To)
-		w(math.Float64bits(sp.Half))
-	}
-	return buf.Bytes(), nil
+	return t.AppendSummary(nil), nil
 }
 
-// UnmarshalBinary restores a tree from a snapshot produced by
-// MarshalBinary, replacing the receiver's state entirely. It implements
-// encoding.BinaryUnmarshaler.
+// UnmarshalBinary restores a tree from a summary frame, replacing the
+// receiver's state entirely; on error the receiver is untouched. It
+// implements encoding.BinaryUnmarshaler.
 func (t *Tree) UnmarshalBinary(data []byte) error {
-	buf := bytes.NewReader(data)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := buf.Read(magic); err != nil || string(magic) != snapshotMagic {
-		return fmt.Errorf("core: not a SWAT snapshot")
+	if bytes.HasPrefix(data, []byte("SWAT")) {
+		return ErrLegacySnapshot
 	}
-	r := func(v any) error {
-		return binary.Read(buf, binary.BigEndian, v)
-	}
-	var version uint16
-	if err := r(&version); err != nil {
-		return fmt.Errorf("core: snapshot version: %w", err)
-	}
-	if version != 1 && version != snapshotVersion {
-		return fmt.Errorf("core: unsupported snapshot version %d", version)
-	}
-	var (
-		n        uint32
-		minLevel uint16
-		k        uint16
-	)
-	if err := r(&n); err != nil {
-		return fmt.Errorf("core: snapshot header: %w", err)
-	}
-	if err := r(&minLevel); err != nil {
-		return fmt.Errorf("core: snapshot header: %w", err)
-	}
-	if err := r(&k); err != nil {
-		return fmt.Errorf("core: snapshot header: %w", err)
-	}
-	// Geometry plausibility before any allocation: a hostile header can
-	// claim a minLevel whose raw-value ring alone is gigabytes. A real
-	// snapshot physically contains its counters and full ring, so a
-	// header whose ring exceeds the remaining input is corrupt — reject
-	// it before newState sizes buffers off the lie.
-	if int(minLevel) > 30 {
-		return fmt.Errorf("core: snapshot min level %d out of range", minLevel)
-	}
-	ringLen := 1 << (minLevel + 1)
-	if need := int64(8+8+4+4) + int64(ringLen)*8; int64(buf.Len()) < need {
-		return fmt.Errorf("core: snapshot truncated: %d bytes cannot hold counters and a ring of %d values", buf.Len(), ringLen)
-	}
-	fresh, err := newState(Options{
-		WindowSize:   int(n),
-		Coefficients: int(k),
-		MinLevel:     int(minLevel),
-	})
+	s, err := DecodeSummary(data)
 	if err != nil {
-		return fmt.Errorf("core: snapshot geometry: %w", err)
+		return err
 	}
-	if err := r(&fresh.arrivals); err != nil {
-		return fmt.Errorf("core: snapshot counters: %w", err)
-	}
-	if err := r(&fresh.nodeUpdates); err != nil {
-		return fmt.Errorf("core: snapshot counters: %w", err)
-	}
-	if fresh.arrivals < 0 {
-		return fmt.Errorf("core: snapshot claims negative arrival counter %d", fresh.arrivals)
-	}
-	var head, rlen int32
-	if err := r(&head); err != nil {
-		return fmt.Errorf("core: snapshot ring: %w", err)
-	}
-	if err := r(&rlen); err != nil {
-		return fmt.Errorf("core: snapshot ring: %w", err)
-	}
-	if int(head) < -1 || int(head) >= len(fresh.recent) || int(rlen) < 0 || int(rlen) > len(fresh.recent) {
-		return fmt.Errorf("core: snapshot ring geometry out of range")
-	}
-	if int64(rlen) > fresh.arrivals {
-		return fmt.Errorf("core: snapshot ring holds %d values but only %d arrivals happened", rlen, fresh.arrivals)
-	}
-	fresh.recentHead = int(head)
-	fresh.recentLen = int(rlen)
-	for i := range fresh.recent {
-		var bits uint64
-		if err := r(&bits); err != nil {
-			return fmt.Errorf("core: snapshot ring values: %w", err)
-		}
-		fresh.recent[i] = math.Float64frombits(bits)
-	}
-	for l := fresh.minLevel; l < fresh.levels; l++ {
-		roles := []Role{Right, Shift, Left}
-		if l == fresh.levels-1 {
-			roles = roles[:1]
-		}
-		for _, role := range roles {
-			var valid uint8
-			if err := r(&valid); err != nil {
-				return fmt.Errorf("core: snapshot node %v%d: %w", role, l, err)
-			}
-			nd := &fresh.nodes[l][role]
-			if valid > 1 {
-				return fmt.Errorf("core: snapshot node %v%d validity byte %d", role, l, valid)
-			}
-			nd.valid = valid == 1
-			if err := r(&nd.birth); err != nil {
-				return fmt.Errorf("core: snapshot node %v%d: %w", role, l, err)
-			}
-			// A node is refreshed only by an arrival, so a valid node's
-			// birth lies in [1, arrivals]; anything else is corruption
-			// that would surface as negative covered ages in queries.
-			if nd.valid && (nd.birth < 1 || nd.birth > fresh.arrivals) {
-				return fmt.Errorf("core: snapshot node %v%d birth %d outside [1,%d]", role, l, nd.birth, fresh.arrivals)
-			}
-			var count uint16
-			if err := r(&count); err != nil {
-				return fmt.Errorf("core: snapshot node %v%d: %w", role, l, err)
-			}
-			// Valid nodes always carry a full coefficient block; the
-			// snapshot is restored into the node's pre-sized buffer so
-			// the arrival path stays allocation-free after a restore.
-			if nd.valid && int(count) != fresh.coeffLen(l) {
-				return fmt.Errorf("core: snapshot node %v%d has %d coefficients, want %d", role, l, count, fresh.coeffLen(l))
-			}
-			if !nd.valid && count != 0 {
-				return fmt.Errorf("core: snapshot node %v%d invalid but has %d coefficients", role, l, count)
-			}
-			for i := 0; i < int(count); i++ {
-				var bits uint64
-				if err := r(&bits); err != nil {
-					return fmt.Errorf("core: snapshot node %v%d coeffs: %w", role, l, err)
-				}
-				nd.coeffs[i] = math.Float64frombits(bits)
-			}
-		}
-	}
-	if version >= 2 {
-		var streams, taintCount uint32
-		if err := r(&streams); err != nil {
-			return fmt.Errorf("core: snapshot streams: %w", err)
-		}
-		if err := r(&taintCount); err != nil {
-			return fmt.Errorf("core: snapshot taint: %w", err)
-		}
-		fresh.streams = int(streams)
-		if fresh.streams < 1 {
-			return fmt.Errorf("core: snapshot claims %d source streams", streams)
-		}
-		if int64(taintCount)*24 > int64(buf.Len()) {
-			return fmt.Errorf("core: snapshot taint count %d exceeds remaining input", taintCount)
-		}
-		for i := 0; i < int(taintCount); i++ {
-			var sp TaintSpan
-			var bits uint64
-			if err := r(&sp.From); err != nil {
-				return fmt.Errorf("core: snapshot taint span %d: %w", i, err)
-			}
-			if err := r(&sp.To); err != nil {
-				return fmt.Errorf("core: snapshot taint span %d: %w", i, err)
-			}
-			if err := r(&bits); err != nil {
-				return fmt.Errorf("core: snapshot taint span %d: %w", i, err)
-			}
-			sp.Half = math.Float64frombits(bits)
-			if sp.From < 1 || sp.To < sp.From || sp.To > fresh.arrivals || !(sp.Half >= 0) {
-				return fmt.Errorf("core: snapshot taint span %d [%d,%d]±%v malformed", i, sp.From, sp.To, sp.Half)
-			}
-			fresh.taint = append(fresh.taint, sp)
-		}
-	}
-	if buf.Len() != 0 {
-		return fmt.Errorf("core: %d trailing bytes in snapshot", buf.Len())
-	}
-	// Publish the restored state under the writer lock, advancing the
-	// generation past the old one so compiled plans against this tree
-	// observe the restore and recompile.
-	t.install(fresh)
-	return nil
+	return t.ResetToSummary(s)
 }

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalBinary throws arbitrary bytes at the snapshot decoder.
-// Required behaviour on any input: no panic, no giant allocation from a
-// lying geometry header, and — when the input is rejected — the
-// receiver keeps its previous state untouched.
+// FuzzUnmarshalBinary throws arbitrary bytes at the snapshot decoder,
+// which is the summary-frame decoder (DecodeSummary, then
+// ResetToSummary) behind the legacy-format refusal. Required behaviour
+// on any input: no panic, no giant allocation from a lying geometry
+// header, and — when the input is rejected — the receiver keeps its
+// previous state untouched. The committed corpus entry is a geometry
+// bomb in the legacy "SWAT" format, which must still be refused.
 func FuzzUnmarshalBinary(f *testing.F) {
 	// Seed with genuine snapshots across geometries and warm-up
-	// stages, so mutation explores the format rather than the magic.
+	// stages, so mutation explores the format rather than the frame.
 	for _, opts := range []Options{
 		{WindowSize: 8},
 		{WindowSize: 64, Coefficients: 4},

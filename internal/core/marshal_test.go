@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/streamsum/swat/internal/codec"
 	"github.com/streamsum/swat/internal/stream"
 )
 
@@ -89,6 +92,10 @@ func TestSnapshotColdTree(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsCorruption feeds UnmarshalBinary damaged summary
+// frames. Cases past the frame layer carry a recomputed checksum (see
+// hostileBody), so each one reaches the check it names, and every
+// rejection must leave the receiver untouched.
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	orig, _ := New(Options{WindowSize: 16})
 	for i := 0; i < 32; i++ {
@@ -98,27 +105,45 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, _ := New(Options{WindowSize: 16})
-	cases := map[string][]byte{
-		"empty":         {},
-		"bad magic":     append([]byte("NOPE"), good[4:]...),
-		"truncated":     good[:len(good)/2],
-		"trailing junk": append(append([]byte{}, good...), 0xFF),
+	body := good[codec.HeaderLen:]
+	// edit copies the body, applies f and reframes it with a valid CRC.
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), body...)
+		f(b)
+		return hostileBody(b)
 	}
-	// Bad version.
-	bv := append([]byte{}, good...)
-	bv[4], bv[5] = 0xFF, 0xFF
-	cases["bad version"] = bv
-	// Absurd window size (not a power of two).
-	bn := append([]byte{}, good...)
-	bn[6], bn[7], bn[8], bn[9] = 0, 0, 0, 7
-	cases["bad geometry"] = bn
-	for name, data := range cases {
-		if err := restored.UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: corrupted snapshot accepted", name)
+	badCRC := append([]byte(nil), good...)
+	badCRC[len(badCRC)-1] ^= 1
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "core: summary frame: "},
+		{"bad checksum", badCRC, "core: summary frame: "},
+		{"torn frame", good[:len(good)/2], "core: summary frame: "},
+		{"trailing junk", append(append([]byte(nil), good...), 0xFF), "core: 1 trailing bytes after summary frame"},
+		{"bad magic", edit(func(b []byte) { copy(b, "NOPE") }), "core: not a SWAT summary"},
+		{"bad version", edit(func(b []byte) { b[4] = 0xFF }), "core: unsupported summary version 255"},
+		{"bad geometry", edit(func(b []byte) { binary.BigEndian.PutUint32(b[5:], 7) }), "core: window size must be a power of two >= 4, got 7"},
+		{"truncated body", hostileBody(body[:len(body)/2]), "core: summary truncated in node "},
+		{"legacy snapshot", append([]byte("SWAT\x00\x02"), body...), ErrLegacySnapshot.Error()},
+	}
+	restored, _ := New(Options{WindowSize: 16})
+	twin, _ := New(Options{WindowSize: 16})
+	for i := 0; i < 5; i++ {
+		restored.Update(float64(-i))
+		twin.Update(float64(-i))
+	}
+	for _, c := range cases {
+		err := restored.UnmarshalBinary(c.data)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		if d := stateDiff(&twin.treeState, &restored.treeState); d != "" {
+			t.Fatalf("%s: failed restore changed the receiver's %s", c.name, d)
 		}
 	}
-	// The receiver must still be usable (untouched) after failures.
 	if err := restored.UnmarshalBinary(good); err != nil {
 		t.Fatalf("valid snapshot rejected after failures: %v", err)
 	}

@@ -26,9 +26,10 @@ import (
 // ring heads differ (the ring is emitted in age order) or when invalid
 // nodes carry different residual births (invalid births encode as 0).
 // In particular FromSummary(t.Export()) followed by any update sequence
-// encodes byte-identically to t fed the same updates — the property the
-// replica-repair fast path in internal/netsim relies on to prove
-// bit-identical reconvergence.
+// encodes byte-identically to t fed the same updates. Stream handoff
+// (internal/wire, internal/cluster) and durable snapshots (MarshalBinary
+// is this encoding) rely on it: their tests hold a moved or recovered
+// tree byte-identical to a twin that never left.
 //
 // # Encoding
 //

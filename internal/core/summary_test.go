@@ -13,10 +13,10 @@ import (
 )
 
 // Tests for the level-aligned summary export: Export/FromSummary,
-// the codec-framed wire encoding, and the canonical-bytes property the
-// netsim replica-repair fast path relies on (a tree restored from a
-// summary encodes — now and after identical further updates — to
-// exactly the bytes of the tree it came from).
+// the codec-framed wire encoding, and the canonical-bytes property that
+// handoff and durable recovery rely on (a tree restored from a summary
+// encodes — now and after identical further updates — to exactly the
+// bytes of the tree it came from).
 
 // summaryGeometries is the geometry table shared by the summary and
 // merge tests: full-k, dropped-budget, raised-minLevel, and large
@@ -278,30 +278,6 @@ func TestDecodeSummaryNamesTruncatedNode(t *testing.T) {
 	}
 	if off+4 != len(body) {
 		t.Fatalf("the node walk ends at byte %d, not at the taint count of a %d-byte body", off, len(body))
-	}
-}
-
-// TestSnapshotV1Compat verifies that pre-merge (version-1) snapshots
-// still load, defaulting to one source stream and no taint.
-func TestSnapshotV1Compat(t *testing.T) {
-	tr := feedTree(t, Options{WindowSize: 32}, stream.Uniform(11), 50)
-	snap, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the version field to 1 and drop the v2 tail (streams u32,
-	// taintCount u32; this tree has no taint spans).
-	v1 := append([]byte(nil), snap[:len(snap)-8]...)
-	binary.BigEndian.PutUint16(v1[4:], 1)
-	var back Tree
-	if err := back.UnmarshalBinary(v1); err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if back.Streams() != 1 || len(back.TaintSpans()) != 0 {
-		t.Fatalf("v1 restore: streams=%d taint=%d, want 1 and 0", back.Streams(), len(back.TaintSpans()))
-	}
-	if !bytes.Equal(tr.AppendSummary(nil), back.AppendSummary(nil)) {
-		t.Fatal("v1 restore does not match the original tree")
 	}
 }
 

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -311,6 +312,58 @@ func TestRecoverIsReadOnly(t *testing.T) {
 		t.Fatalf("repair changed the prefix: %d != %d", info2.Arrivals, info.Arrivals)
 	}
 	requireTreeEqual(t, got2, goldenTree(t, history[:info.Arrivals]), "after repair")
+}
+
+// TestLegacySnapshotRefused pins the refusal of snapshots written in
+// the field-by-field "SWAT" format that preceded the summary frame.
+// Skipping such a snapshot would replay a WAL whose covered prefix is
+// already pruned, and Open would then truncate the log behind the gap;
+// so Open and Recover both fail with core.ErrLegacySnapshot and leave
+// every segment and snapshot byte-identical.
+func TestLegacySnapshotRefused(t *testing.T) {
+	dir, _ := buildFixture(t)
+	snaps, err := listSnapshots(dir)
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("fixture retained %d snapshots (%v), want 2", len(snaps), err)
+	}
+	// An old-format header: magic, version 2, N, minLevel, k, then the
+	// counters and state the old codec wrote field by field.
+	legacy := []byte("SWAT\x00\x02")
+	legacy = binary.BigEndian.AppendUint32(legacy, uint32(testGeom.WindowSize))
+	legacy = binary.BigEndian.AppendUint16(legacy, 0)
+	legacy = binary.BigEndian.AppendUint16(legacy, uint16(testGeom.Coefficients))
+	legacy = append(legacy, make([]byte, 64)...)
+
+	for _, c := range []struct {
+		name  string
+		which []snapInfo
+	}{
+		{"newest", snaps[:1]},
+		{"every", snaps},
+	} {
+		crash := copyDir(t, dir)
+		for _, sn := range c.which {
+			if err := writeSnapshot(crash, sn.arrivals, legacy); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirListing(t, crash)
+		if _, err := Recover(crash, freshTree(t)); !errors.Is(err, core.ErrLegacySnapshot) {
+			t.Fatalf("%s: Recover returned %v, want core.ErrLegacySnapshot", c.name, err)
+		}
+		if diff := dirDiff(before, dirListing(t, crash)); diff != "" {
+			t.Fatalf("%s: Recover modified the directory: %s", c.name, diff)
+		}
+		if st, err := Open(crash, freshTree(t), fixtureOpts); !errors.Is(err, core.ErrLegacySnapshot) {
+			if err == nil {
+				st.Close()
+			}
+			t.Fatalf("%s: Open returned %v, want core.ErrLegacySnapshot", c.name, err)
+		}
+		if diff := dirDiff(before, dirListing(t, crash)); diff != "" {
+			t.Fatalf("%s: Open modified the directory: %s", c.name, diff)
+		}
+	}
 }
 
 func dirListing(t testing.TB, dir string) map[string][]byte {

@@ -21,9 +21,11 @@
 // A record holds one UpdateBatch: count consecutive stream values whose
 // first element is arrival number firstArrival (1-based). Segments open
 // with an 8-byte magic and rotate at Options.SegmentBytes. Snapshots
-// wrap Tree.MarshalBinary in a magic + CRC32C header and are written
-// tmp-then-rename, so a half-written snapshot can never shadow a good
-// one.
+// wrap the tree's summary frame (Tree.MarshalBinary, the same encoding
+// handoffs and roll-ups ship) in a magic + CRC32C header and are
+// written tmp-then-rename, so a half-written snapshot can never shadow
+// a good one. A snapshot in the older field-by-field format fails
+// recovery with core.ErrLegacySnapshot before any file is touched.
 //
 // # Recovery invariants
 //

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,13 +11,15 @@ import (
 	"strings"
 
 	"github.com/streamsum/swat/internal/codec"
+	"github.com/streamsum/swat/internal/core"
 )
 
 // Snapshot file framing:
 //
 //	"SWATCKPT" | u32 crc32c(arrivals|body) | u64 arrivals | body
 //
-// body is opaque to this layer (a Store writes Tree.MarshalBinary).
+// body is the tree's summary frame (Tree.MarshalBinary, which is
+// Tree.AppendSummary); this layer only frames and checksums it.
 // Files are named snap-<arrivals>.ckpt and written tmp-then-rename with
 // fsyncs on both the file and the directory, so a snapshot either
 // exists completely or not at all.
@@ -130,7 +133,10 @@ func readSnapshot(path string) (uint64, []byte, error) {
 
 // loadNewestSnapshot tries snapshots newest-first until one verifies
 // and restore accepts its body. It returns the loaded snapshot (zero
-// snapInfo when none loaded) and how many newer ones were rejected.
+// snapInfo when none loaded) and how many newer ones were rejected. A
+// body in the legacy snapshot format is an error, not a skip: the WAL
+// its snapshot covered has been pruned, so falling back would replay a
+// gap and let Open truncate the log behind it.
 func loadNewestSnapshot(dir string, restore func(arrivals uint64, body []byte) error) (snapInfo, string, int, error) {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
@@ -141,8 +147,12 @@ func loadNewestSnapshot(dir string, restore func(arrivals uint64, body []byte) e
 		path := filepath.Join(dir, sn.name)
 		arr, body, err := readSnapshot(path)
 		if err == nil && arr == sn.arrivals {
-			if rerr := restore(arr, body); rerr == nil {
+			rerr := restore(arr, body)
+			if rerr == nil {
 				return sn, path, skipped, nil
+			}
+			if errors.Is(rerr, core.ErrLegacySnapshot) {
+				return snapInfo{}, "", skipped, fmt.Errorf("durable: %s: %w", sn.name, rerr)
 			}
 		}
 		skipped++

@@ -1,6 +1,7 @@
 package multi
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/streamsum/swat/internal/query"
@@ -105,5 +106,46 @@ func TestRefIngestDoesNotAllocate(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("ref ingest allocates %v times per cycle, want 0", allocs)
+	}
+
+	// ObserveAllBatch is not allocation-free — the per-shard error
+	// slice and the shard closure, and with several shards the wait
+	// group and one job per shard — but its cost is per call, not per
+	// stream or row: 64 streams × 64 rows stay at 2 allocations with
+	// one shard and 5 with two.
+	for _, c := range []struct{ shards, max int }{{1, 2}, {2, 5}} {
+		m, err := New(Options{WindowSize: 64, Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		for i := 0; i < 64; i++ {
+			if err := m.Add(fmt.Sprintf("s%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows := make([][]float64, 64)
+		for r := range rows {
+			rows[r] = make([]float64, 64)
+			for i := range rows[r] {
+				rows[r][i] = float64(r*i%17) - 8
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if err := m.ObserveAllBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := m.ObserveAllBatch(rows); err != nil {
+				fail = err
+			}
+		})
+		if fail != nil {
+			t.Fatal(fail)
+		}
+		if allocs > float64(c.max) {
+			t.Errorf("ObserveAllBatch with %d shards allocates %v times per call, want <= %d", c.shards, allocs, c.max)
+		}
 	}
 }

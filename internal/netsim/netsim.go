@@ -65,14 +65,6 @@ func (t *Topology) Parent(id NodeID) NodeID {
 	return t.parent[id]
 }
 
-// Children returns the children of id in attachment order.
-func (t *Topology) Children(id NodeID) []NodeID {
-	if !t.Valid(id) {
-		return nil
-	}
-	return append([]NodeID(nil), t.children[id]...)
-}
-
 // IsLeaf reports whether id has no children.
 func (t *Topology) IsLeaf(id NodeID) bool {
 	return t.Valid(id) && len(t.children[id]) == 0
@@ -111,14 +103,6 @@ func (t *Topology) Hops(a, b NodeID) (int, error) {
 		hops += 2
 	}
 	return hops, nil
-}
-
-// Adjacent reports whether a and b share an edge.
-func (t *Topology) Adjacent(a, b NodeID) bool {
-	if !t.Valid(a) || !t.Valid(b) {
-		return false
-	}
-	return t.parent[a] == b || t.parent[b] == a
 }
 
 // BFSOrder returns all node IDs in breadth-first order from the root —

@@ -32,20 +32,15 @@ func TestAddChild(t *testing.T) {
 	if top.Parent(g) != c1 || top.Parent(c1) != 0 {
 		t.Error("parents wrong")
 	}
-	kids := top.Children(0)
-	if len(kids) != 2 || kids[0] != c1 || kids[1] != c2 {
-		t.Errorf("Children(0) = %v", kids)
+	// Children are visited in attachment order.
+	if order := top.BFSOrder(); len(order) != 4 || order[1] != c1 || order[2] != c2 || order[3] != g {
+		t.Errorf("BFSOrder = %v", order)
 	}
 	if top.IsLeaf(c1) || !top.IsLeaf(g) {
 		t.Error("leaf detection wrong")
 	}
 	if _, err := top.AddChild(99); err == nil {
 		t.Error("accepted invalid parent")
-	}
-	// Children must return a copy.
-	kids[0] = 42
-	if top.Children(0)[0] == 42 {
-		t.Error("Children exposes internal slice")
 	}
 }
 
@@ -71,16 +66,6 @@ func TestDepthAndHops(t *testing.T) {
 	}
 	if _, err := top.Hops(0, 99); err == nil {
 		t.Error("Hops accepted invalid node")
-	}
-}
-
-func TestAdjacent(t *testing.T) {
-	top, _ := CompleteBinaryTree(7)
-	if !top.Adjacent(0, 1) || !top.Adjacent(1, 0) || !top.Adjacent(1, 3) {
-		t.Error("adjacency missing")
-	}
-	if top.Adjacent(1, 2) || top.Adjacent(3, 4) || top.Adjacent(0, 99) {
-		t.Error("false adjacency")
 	}
 }
 
