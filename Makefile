@@ -51,9 +51,10 @@ verify: build vet lint test race bench-smoke fuzz-smoke
 # Short coverage-guided fuzzing on every fuzz target (frame decoding,
 # server dispatch, batched-update equivalence, snapshot decoding, merge
 # and accumulate equivalence, query routing against its reference,
-# handoff bundle decoding, summary decoding against its reference, WAL
-# recovery). FUZZTIME bounds each target; 30s keeps verify usable while
-# still growing the corpus past the seeds. Targets run one at a time —
+# handoff bundle decoding, summary decoding against its reference,
+# in-place summary installs against fresh trees, WAL recovery).
+# FUZZTIME bounds each target; 30s keeps verify usable while still
+# growing the corpus past the seeds. Targets run one at a time —
 # `go test -fuzz` accepts only a single matching target per package.
 FUZZTIME ?= 30s
 
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzQueryRoutingEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeBundle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDecodeSummaryEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzResetInPlaceEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzRecoverSegment$$' -fuzztime $(FUZZTIME)
 
 # Per-package coverage (printed per package by go test) plus an

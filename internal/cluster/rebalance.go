@@ -214,10 +214,13 @@ func (c *Client) Rebalance(newRing *Ring, opts RebalanceOptions) (*MigrationRepo
 		return nil, err
 	}
 
-	// The move set: every registered stream whose owner changes.
+	// The move set: every registered stream whose owner changes. Both
+	// rings share the seed (checked above), so one hash places each
+	// stream on both.
 	var moves []Move
 	for _, s := range c.Streams() { // sorted
-		from, to := old.Owner(s), newRing.Owner(s)
+		h := old.keyHash(s)
+		from, to := old.ownerOf(h), newRing.ownerOf(h)
 		if from != to {
 			moves = append(moves, Move{Stream: s, From: from, To: to})
 		}

@@ -134,7 +134,18 @@ func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner maps a stream key to the node that owns it.
 func (r *Ring) Owner(key string) string {
-	h := fmix64(fnv1aString(seedBasis(r.seed), key))
+	return r.ownerOf(r.keyHash(key))
+}
+
+// keyHash is a key's position on the circle. It depends only on the
+// seed, so every ring of one lineage places a key at the same point.
+func (r *Ring) keyHash(key string) uint64 {
+	return fmix64(fnv1aString(seedBasis(r.seed), key))
+}
+
+// ownerOf returns the node owning circle position h: the owner of the
+// first point at or clockwise of h.
+func (r *Ring) ownerOf(h uint64) string {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap past the highest point to the circle's start

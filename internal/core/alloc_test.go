@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/streamsum/swat/internal/query"
@@ -253,6 +254,39 @@ func TestDecodeSummaryAllocs(t *testing.T) {
 		}); allocs > 4 {
 			t.Errorf("%+v: DecodeSummary allocates %v times per summary, want at most 4", opts, allocs)
 		}
+	}
+}
+
+// TestInstallInPlaceDoesNotAllocate pins the install step of summary
+// handoff: decoding into a reused Summary (DecodeSummaryInto) and
+// ResetToSummary into an untainted tree of the same geometry overwrite
+// memory that already exists, so a receiver installs summary after
+// summary without allocating. Two different source states alternate,
+// so every install really rewrites the tree.
+func TestInstallInPlaceDoesNotAllocate(t *testing.T) {
+	opts := Options{WindowSize: 1024, Coefficients: 1}
+	frames := [][]byte{
+		warmTree(t, opts).AppendSummary(nil),
+		feedTree(t, opts, stream.Uniform(4), 3*opts.WindowSize+5).AppendSummary(nil),
+	}
+	recv := warmTree(t, opts)
+	var s Summary
+	i := 0
+	install := func() {
+		if err := DecodeSummaryInto(&s, frames[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := recv.ResetToSummary(&s); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	install() // grow the scratch summary once
+	if allocs := testing.AllocsPerRun(100, install); allocs != 0 {
+		t.Errorf("decode into a reused summary plus in-place install allocates %v times, want 0", allocs)
+	}
+	if got := recv.AppendSummary(nil); !bytes.Equal(got, frames[(i-1)%2]) {
+		t.Error("installed tree does not re-encode to the installed summary")
 	}
 }
 

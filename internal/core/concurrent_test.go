@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,4 +229,125 @@ func TestConcurrentMixedReadersWithIngest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReadersConcurrentWithInPlaceInstalls runs readers and compiled
+// plans against a writer that installs two summaries in turn, in place,
+// through one reused Summary — the handoff receiver's loop. Every
+// answer vector and every plan evaluation must equal the exact answer
+// on the initial state or on one of the two installed states: an
+// install overwrites node buffers a plan has lent, so the plan must see
+// the generation advance and recompile rather than read a torn mix.
+func TestReadersConcurrentWithInPlaceInstalls(t *testing.T) {
+	const n = 512
+	opts := Options{WindowSize: n, Coefficients: 4}
+	tr := warmTree(t, opts)
+	qs := testQueryBatch(t, n)
+	frames := [][]byte{
+		feedTree(t, opts, stream.Uniform(51), 2*n+3).AppendSummary(nil),
+		feedTree(t, opts, stream.Uniform(52), 3*n+1).AppendSummary(nil),
+	}
+
+	// Expected answers on every state the readers may observe,
+	// computed on clones.
+	type answers struct {
+		batch []float64
+		plan  float64
+	}
+	expect := func(x *Tree) answers {
+		a := answers{batch: make([]float64, len(qs))}
+		if err := x.AnswerBatch(a.batch, qs); err != nil {
+			t.Fatal(err)
+		}
+		p, err := x.Compile(qs[2].Ages, qs[2].Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.plan, err = p.Eval(); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	states := []answers{expect(cloneTree(t, tr))}
+	for _, f := range frames {
+		s, err := DecodeSummary(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = append(states, expect(rebuilt(t, s)))
+	}
+	known := func(batch []float64, plan float64) bool {
+		for _, st := range states {
+			if batch != nil && slices.Equal(batch, st.batch) || batch == nil && plan == st.plan {
+				return true
+			}
+		}
+		return false
+	}
+
+	var (
+		stop atomic.Bool
+		torn atomic.Int64
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() { // writer
+		defer wg.Done()
+		defer stop.Store(true)
+		var scratch Summary
+		for i := 0; i < 200; i++ {
+			if err := DecodeSummaryInto(&scratch, frames[i%2]); err != nil {
+				t.Errorf("DecodeSummaryInto: %v", err)
+				return
+			}
+			if err := tr.ResetToSummary(&scratch); err != nil {
+				t.Errorf("ResetToSummary: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := tr.Compile(qs[2].Ages, qs[2].Weights)
+			if err != nil {
+				t.Errorf("Compile: %v", err)
+				return
+			}
+			dst := make([]float64, len(qs))
+			for !stop.Load() {
+				if r%2 == 0 {
+					if err := tr.AnswerBatch(dst, qs); err != nil {
+						t.Errorf("AnswerBatch: %v", err)
+						return
+					}
+					if !known(dst, 0) {
+						torn.Add(1)
+					}
+					continue
+				}
+				v, err := p.Eval()
+				if err != nil {
+					t.Errorf("Eval: %v", err)
+					return
+				}
+				if !known(nil, v) {
+					torn.Add(1)
+				}
+				if _, _, err := tr.BoundedPoint(n / 3); err != nil {
+					t.Errorf("BoundedPoint: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if torn.Load() != 0 {
+		t.Fatalf("%d answers match no installed state", torn.Load())
+	}
+	if got, want := tr.AppendSummary(nil), frames[1]; !bytes.Equal(got, want) {
+		t.Fatal("the last install did not land")
+	}
 }

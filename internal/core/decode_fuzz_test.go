@@ -50,6 +50,18 @@ func FuzzDecodeSummaryEquivalence(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(tt.AppendSummary(nil))
+	// Cold trees, whose invalid nodes land where the reused summaries
+	// below hold valid ones.
+	for _, c := range []struct {
+		opts  Options
+		count int
+	}{
+		{Options{WindowSize: 64, Coefficients: 2}, 10},
+		{Options{WindowSize: 64, Coefficients: 2}, 70},
+		{Options{WindowSize: 16, Coefficients: 2, MinLevel: 2}, 5},
+	} {
+		f.Add(feedTree(f, c.opts, stream.Uniform(8), c.count).AppendSummary(nil))
+	}
 	for _, body := range hostileSummaryHeaders() {
 		f.Add(hostileBody(body))
 	}
@@ -62,9 +74,17 @@ func FuzzDecodeSummaryEquivalence(f *testing.F) {
 	body = append([]byte(nil), body...)
 	binary.BigEndian.PutUint64(body[summaryHeaderLen+8+1:], 7)
 	f.Add(hostileBody(body))
+	// DecodeSummaryInto must give the same result into a summary that
+	// already holds another shape: a larger, tainted one and a smaller
+	// one with a raised MinLevel.
+	priors := [][]byte{
+		tt.AppendSummary(nil),
+		feedTree(f, Options{WindowSize: 4096, Coefficients: 4}, stream.Uniform(5), 4096+77).AppendSummary(nil),
+		feedTree(f, Options{WindowSize: 16, Coefficients: 2, MinLevel: 2}, stream.Uniform(6), 40).AppendSummary(nil),
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		requireSameDecode(t, data)
-		requireSameDecode(t, hostileBody(data))
+		requireSameDecode(t, data, priors)
+		requireSameDecode(t, hostileBody(data), priors)
 	})
 }
 
@@ -92,12 +112,31 @@ func hostileSummaryHeaders() [][]byte {
 	}
 }
 
-func requireSameDecode(t *testing.T, data []byte) {
+// requireSameDecode holds DecodeSummary, and DecodeSummaryInto into a
+// summary first decoded from each of priors, to the reference decoder.
+func requireSameDecode(t *testing.T, data []byte, priors [][]byte) {
 	t.Helper()
 	want, errW := decodeSummaryRef(data)
 	got, errG := DecodeSummary(data)
 	if (errW == nil) != (errG == nil) || errW != nil && errW.Error() != errG.Error() {
 		t.Fatalf("decode error %v, reference %v", errG, errW)
+	}
+	reused := make([]*Summary, len(priors))
+	for i, prior := range priors {
+		s := new(Summary)
+		if err := DecodeSummaryInto(s, prior); err != nil {
+			t.Fatal(err)
+		}
+		err := DecodeSummaryInto(s, data)
+		if (errW == nil) != (err == nil) || errW != nil && errW.Error() != err.Error() {
+			t.Fatalf("decode into a used summary: error %v, reference %v", err, errW)
+		}
+		if s.coeffBuf == nil {
+			t.Fatal("DecodeSummaryInto kept no coefficient array for the next decode")
+		}
+		// The array kept for reuse is not part of the decoded value.
+		s.coeffBuf = nil
+		reused[i] = s
 	}
 	if errW != nil {
 		return
@@ -120,6 +159,12 @@ func requireSameDecode(t *testing.T, data []byte) {
 	zeroNaNs(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded summary differs from the reference:\n got  %#v\n want %#v", got, want)
+	}
+	for i, s := range reused {
+		zeroNaNs(s)
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("summary decoded over prior %d differs from the reference:\n got  %#v\n want %#v", i, s, want)
+		}
 	}
 }
 

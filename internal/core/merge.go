@@ -238,13 +238,7 @@ func (t *Tree) MergeSummary(s *Summary, o MergeOptions) error {
 	if err != nil {
 		return err
 	}
-	st, err := stateFromSummary(merged)
-	if err != nil {
-		// Unreachable: MergeSummaries output always validates.
-		return err
-	}
-	t.install(st)
-	return nil
+	return t.ResetToSummary(merged)
 }
 
 // AdvanceSummary returns s advanced to the target arrival count by
@@ -431,11 +425,7 @@ func fastForward(s *Summary, target int64, o MergeOptions) (*Summary, error) {
 		st.feedConstant(mid, d)
 		from = s.Arrivals + 1
 	} else {
-		st, _ = newState(Options{
-			WindowSize:   s.WindowSize,
-			Coefficients: s.Coefficients,
-			MinLevel:     s.MinLevel,
-		})
+		st, _ = newState(s.options())
 		st.streams = s.Streams
 		st.nodeUpdates = s.NodeUpdates
 		st.arrivals = target - warm

@@ -105,11 +105,17 @@ type Summary struct {
 	// Taint lists the approximation spans inherited from merges, sorted
 	// by From; empty for a tree that only ever saw exact arrivals.
 	Taint []TaintSpan
+
+	// coeffBuf backs the nodes' Coeffs after DecodeSummaryInto, which
+	// reuses it on the next decode into this summary. DecodeSummary
+	// drops it and Clone does not copy it, so no two summaries share it.
+	coeffBuf []float64
 }
 
 // Clone returns a deep copy of the summary.
 func (s *Summary) Clone() *Summary {
 	out := *s
+	out.coeffBuf = nil
 	out.Ring = append([]float64(nil), s.Ring...)
 	out.Nodes = make([]SummaryNode, len(s.Nodes))
 	for i, nd := range s.Nodes {
@@ -416,35 +422,59 @@ func (r *sumReader) f64s(dst []float64) {
 // before FromSummary could size buffers off the lie. A valid summary
 // costs a fixed four allocations whatever its window — the Summary, its
 // ring, its node list and one array backing every node's coefficients —
-// plus one for taint spans.
+// plus one for taint spans. The result shares no memory with any other
+// summary.
 func DecodeSummary(data []byte) (*Summary, error) {
+	s := new(Summary)
+	if err := DecodeSummaryInto(s, data); err != nil {
+		return nil, err
+	}
+	s.coeffBuf = nil // nothing else decodes into this summary's arrays
+	return s, nil
+}
+
+// DecodeSummaryInto is DecodeSummary into an existing summary, reusing
+// its arrays: the ring, the node list, the taint spans and the array
+// that backed its nodes' coefficients the last time it was decoded
+// into. It makes the same checks and returns the same errors. Once the
+// arrays have grown to the largest summary decoded into s, a decode
+// allocates nothing, which is what lets a receiver install a bundle of
+// summaries through one scratch Summary.
+//
+// The reuse contract: every field of s is overwritten, and every slice
+// s held before the call — Ring, Nodes, Taint and each node's Coeffs —
+// may be overwritten too, so retain none of them across the call.
+// Decode into a summary only while no tree, merge or other goroutine is
+// reading it, and copy it with Clone, not by value: a copy by value
+// would share the coefficient array with s and see it change under
+// the next decode. On error s holds an unspecified partial decode and
+// must not be used, except as the target of another decode.
+func DecodeSummaryInto(s *Summary, data []byte) error {
 	body, n, err := codec.Next(data, len(data))
 	if err != nil {
-		return nil, fmt.Errorf("core: summary frame: %w", err)
+		return fmt.Errorf("core: summary frame: %w", err)
 	}
 	if n != len(data) {
-		return nil, fmt.Errorf("core: %d trailing bytes after summary frame", len(data)-n)
+		return fmt.Errorf("core: %d trailing bytes after summary frame", len(data)-n)
 	}
-	r := &sumReader{b: body, what: "header"}
+	r := sumReader{b: body, what: "header"}
 	if magic := r.take(len(summaryMagic)); magic == nil || string(magic) != summaryMagic {
-		return nil, fmt.Errorf("core: not a SWAT summary")
+		return fmt.Errorf("core: not a SWAT summary")
 	}
 	if v := r.u8(); r.err == nil && v != summaryVersion {
-		return nil, fmt.Errorf("core: unsupported summary version %d", v)
+		return fmt.Errorf("core: unsupported summary version %d", v)
 	}
-	s := &Summary{
-		WindowSize: int(r.u32()),
-		MinLevel:   int(r.u8()),
-	}
+	s.WindowSize = int(r.u32())
+	s.MinLevel = int(r.u8())
 	s.Coefficients = int(r.u32())
 	s.Streams = int(r.u32())
 	s.Arrivals = int64(r.u64())
 	s.NodeUpdates = r.u64()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if err := checkGeometry(s.WindowSize, s.Coefficients, s.MinLevel); err != nil {
-		return nil, err
+		return err
 	}
 	// Footprint guard: a warm tree's summary encodes its full ring and
 	// every valid coefficient at 8 bytes per float, so the state a
@@ -462,24 +492,25 @@ func DecodeSummary(data []byte) (*Summary, error) {
 		elems += roles * coeffLenFor(l, s.Coefficients)
 	}
 	if elems > 4096+8*len(body) {
-		return nil, fmt.Errorf("core: summary geometry implies %d state values from %d encoded bytes", elems, len(body))
+		return fmt.Errorf("core: summary geometry implies %d state values from %d encoded bytes", elems, len(body))
 	}
 	r.what = "ring"
 	ringLen := int(r.u32())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if ringLen < 0 || ringLen > len(r.b)/8 {
-		return nil, fmt.Errorf("core: summary ring length %d exceeds remaining input", ringLen)
+		return fmt.Errorf("core: summary ring length %d exceeds remaining input", ringLen)
 	}
-	s.Ring = make([]float64, ringLen)
+	s.Ring = resized(s.Ring, ringLen)
 	r.f64s(s.Ring)
 	// One array backs every node's coefficients. Each coefficient takes
 	// 8 body bytes, so the array never needs more than the rest of the
 	// body holds; each node gets a full slice expression, so appending
 	// to one node's coefficients cannot overwrite the next node's.
-	backing := make([]float64, min(elems-ringCap, len(r.b)/8))
-	s.Nodes = make([]SummaryNode, 3*(levels-s.MinLevel)-2)
+	s.coeffBuf = resized(s.coeffBuf, min(elems-ringCap, len(r.b)/8))
+	backing := s.coeffBuf
+	s.Nodes = resized(s.Nodes, 3*(levels-s.MinLevel)-2)
 	r.what = ""
 	i := 0
 	for l := s.MinLevel; l < levels; l++ {
@@ -492,91 +523,116 @@ func DecodeSummary(data []byte) (*Summary, error) {
 			r.role, r.level = role, l
 			hdr := r.take(1 + 8)
 			if hdr == nil {
-				return nil, r.err
+				return r.err
 			}
 			valid, birth := hdr[0], int64(binary.BigEndian.Uint64(hdr[1:]))
 			sn := &s.Nodes[i]
 			i++
-			sn.Level, sn.Role = l, role
+			*sn = SummaryNode{Level: l, Role: role}
 			if valid > 1 {
-				return nil, fmt.Errorf("core: summary node %v%d validity byte %d", role, l, valid)
+				return fmt.Errorf("core: summary node %v%d validity byte %d", role, l, valid)
 			}
 			if valid == 1 {
 				if cl > len(r.b)/8 {
-					return nil, fmt.Errorf("core: summary truncated in node %v%d coefficients", role, l)
+					return fmt.Errorf("core: summary truncated in node %v%d coefficients", role, l)
 				}
 				sn.Valid = true
 				sn.Birth = birth
 				sn.Coeffs, backing = backing[:cl:cl], backing[cl:]
 				r.f64s(sn.Coeffs)
 			} else if birth != 0 {
-				return nil, fmt.Errorf("core: summary node %v%d invalid but has birth %d", role, l, birth)
+				return fmt.Errorf("core: summary node %v%d invalid but has birth %d", role, l, birth)
 			}
 		}
 	}
 	r.what = "taint spans"
 	taintCount := int(r.u32())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if taintCount < 0 || taintCount > len(r.b)/24 {
-		return nil, fmt.Errorf("core: summary taint count %d exceeds remaining input", taintCount)
+		return fmt.Errorf("core: summary taint count %d exceeds remaining input", taintCount)
 	}
-	if taintCount > 0 {
-		s.Taint = make([]TaintSpan, taintCount)
+	if taintCount == 0 {
+		s.Taint = nil // as DecodeSummary has always returned
+	} else {
+		s.Taint = resized(s.Taint, taintCount)
 		for i := range s.Taint {
 			s.Taint[i] = TaintSpan{From: int64(r.u64()), To: int64(r.u64()), Half: math.Float64frombits(r.u64())}
 		}
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in summary body", len(r.b))
+		return fmt.Errorf("core: %d trailing bytes in summary body", len(r.b))
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
+	return s.Validate()
+}
+
+// resized returns buf at length n, reusing its array when it holds n.
+// A nil buf gets a fresh (non-nil) slice even at length 0, as make
+// would give.
+func resized[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, n)
 	}
-	return s, nil
+	return buf[:n]
 }
 
 // stateFromSummary validates s and builds the tree state it describes.
-// The ring head is placed at arrivals&mask — exactly where a tree that
-// grew to this state naturally would hold it — so the rebuilt state is
-// canonical (see AppendSummary).
 func stateFromSummary(s *Summary) (*treeState, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := newState(Options{
-		WindowSize:   s.WindowSize,
-		Coefficients: s.Coefficients,
-		MinLevel:     s.MinLevel,
-	})
+	st, err := newState(s.options())
 	if err != nil {
 		return nil, err
 	}
-	st.arrivals = s.Arrivals
-	st.nodeUpdates = s.NodeUpdates
-	st.streams = s.Streams
-	if st.streams == 0 {
-		st.streams = 1
-	}
-	st.recentLen = len(s.Ring)
-	st.recentHead = int(uint64(s.Arrivals) & uint64(st.recentMask))
-	for age, v := range s.Ring {
-		st.recent[(st.recentHead-age)&st.recentMask] = v
+	st.load(s)
+	return st, nil
+}
+
+// options returns the tree options of the summary's geometry.
+func (s *Summary) options() Options {
+	return Options{WindowSize: s.WindowSize, Coefficients: s.Coefficients, MinLevel: s.MinLevel}
+}
+
+// load overwrites the state with the one a validated summary of the
+// same geometry describes. It rewrites everything a query, an update or
+// the encoding can read, and clears the ring slots the summary does not
+// fill and the coefficients of invalid nodes, so loading into a used
+// state gives the same state as loading into a fresh one. The ring head
+// is placed at arrivals&mask — exactly where a tree that grew to this
+// state naturally would hold it — so the state is canonical (see
+// AppendSummary). The taint spans are copied, never aliased. The
+// generation is the caller's to advance.
+func (t *treeState) load(s *Summary) {
+	t.arrivals = s.Arrivals
+	t.nodeUpdates = s.NodeUpdates
+	t.streams = max(s.Streams, 1)
+	t.recentLen = len(s.Ring)
+	t.recentHead = int(uint64(s.Arrivals) & uint64(t.recentMask))
+	for age := range t.recent {
+		v := 0.0
+		if age < len(s.Ring) {
+			v = s.Ring[age]
+		}
+		t.recent[(t.recentHead-age)&t.recentMask] = v
 	}
 	i := 0
-	for l := st.minLevel; l < st.levels; l++ {
-		for role := Right; int(role) < st.rolesAt(l); role++ {
+	for l := t.minLevel; l < t.levels; l++ {
+		for role := Right; int(role) < t.rolesAt(l); role++ {
 			sn := &s.Nodes[i]
 			i++
-			nd := &st.nodes[l][role]
+			nd := &t.nodes[l][role]
 			nd.valid = sn.Valid
 			nd.birth = sn.Birth
-			copy(nd.coeffs, sn.Coeffs)
+			if sn.Valid {
+				copy(nd.coeffs, sn.Coeffs)
+			} else {
+				clear(nd.coeffs)
+			}
 		}
 	}
-	st.taint = append([]TaintSpan(nil), s.Taint...)
-	return st, nil
+	t.taint = append(t.taint[:0], s.Taint...)
 }
 
 // FromSummary rebuilds a live tree from a summary. The tree continues

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/streamsum/swat/internal/codec"
 )
@@ -159,7 +160,9 @@ func BundleFit(opts Options, names []string) (int, error) {
 // parseBundle validates a bundle's index and returns its entries in
 // index order, each Summary aliasing data. The summaries themselves
 // are not decoded. The entry count is checked against the bytes that
-// could hold it before anything is allocated.
+// could hold it before anything is allocated, and the allocations are
+// a fixed few per bundle, not per entry: the names are substrings of
+// one copy of the index, and duplicates are found by sorting.
 func parseBundle(data []byte) ([]BundleEntry, error) {
 	if len(data) > MaxTransferSize {
 		return nil, fmt.Errorf("core: bundle of %d bytes exceeds %d", len(data), MaxTransferSize)
@@ -173,31 +176,39 @@ func parseBundle(data []byte) ([]BundleEntry, error) {
 	if n == 0 || n > uint64(len(rest))/(bundleSlot+2) {
 		return nil, fmt.Errorf("core: bundle of %d entries in %d bytes", n, len(data))
 	}
-	entries := make([]BundleEntry, n)
-	lens := make([]uint32, n)
-	seen := make(map[string]struct{}, n)
-	for i := range entries {
-		if len(rest) < 2 {
+	// Walk the index first; each entry's name is then cut from one copy
+	// of it.
+	type slot struct {
+		from, to int    // the name's bounds in the index
+		size     uint32 // the summary's length
+	}
+	slots := make([]slot, n)
+	off := 0
+	for i := range slots {
+		if len(rest)-off < 2 {
 			return nil, errors.New("core: bundle index truncated")
 		}
-		l := int(binary.BigEndian.Uint16(rest))
+		l := int(binary.BigEndian.Uint16(rest[off:]))
 		if l == 0 {
 			return nil, errors.New("core: bundle entry with an empty name")
 		}
-		if len(rest) < bundleSlot+l {
+		if len(rest)-off < bundleSlot+l {
 			return nil, errors.New("core: bundle index truncated")
 		}
-		name := string(rest[2 : 2+l])
-		if _, dup := seen[name]; dup {
-			return nil, fmt.Errorf("core: bundle names %q twice", name)
-		}
-		seen[name] = struct{}{}
-		entries[i].Name = name
-		lens[i] = binary.BigEndian.Uint32(rest[2+l:])
-		rest = rest[bundleSlot+l:]
+		slots[i] = slot{off + 2, off + 2 + l, binary.BigEndian.Uint32(rest[off+2+l:])}
+		off += bundleSlot + l
 	}
+	index := string(rest[:off])
+	entries := make([]BundleEntry, n)
+	for i, sl := range slots {
+		entries[i].Name = index[sl.from:sl.to]
+	}
+	if dup := firstDuplicate(entries); dup >= 0 {
+		return nil, fmt.Errorf("core: bundle names %q twice", entries[dup].Name)
+	}
+	rest = rest[off:]
 	for i := range entries {
-		l := uint64(lens[i])
+		l := uint64(slots[i].size)
 		if l == 0 || l > uint64(len(rest)) {
 			return nil, fmt.Errorf("core: bundle entry %q of %d bytes overruns the bundle", entries[i].Name, l)
 		}
@@ -208,6 +219,30 @@ func parseBundle(data []byte) ([]BundleEntry, error) {
 		return nil, fmt.Errorf("core: %d bytes trail the bundle's summaries", len(rest))
 	}
 	return entries, nil
+}
+
+// firstDuplicate returns the lowest index whose entry repeats an
+// earlier entry's name, or -1 when the names are distinct. It sorts the
+// entry indices by name, then by index, so each repeat sits right after
+// the earlier entry it repeats.
+func firstDuplicate(entries []BundleEntry) int {
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := strings.Compare(entries[a].Name, entries[b].Name); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	dup := -1
+	for k := 1; k < len(order); k++ {
+		if i := order[k]; entries[i].Name == entries[order[k-1]].Name && (dup < 0 || i < dup) {
+			dup = i
+		}
+	}
+	return dup
 }
 
 // Entries validates the bundle's index and returns its entries in
@@ -323,12 +358,30 @@ func (a *SummaryAssembly) Transfer() (*SummaryTransfer, error) {
 // describes, in place: the Tree pointer stays valid, so caches holding
 // it (a wire server's stream handles) observe the new state without
 // re-resolution. This is the install step of summary handoff — the new
-// owner adopts the migrated stream's exact history.
+// owner adopts the migrated stream's exact history. The summary is
+// validated first; on error the tree is untouched. When the tree
+// already has the summary's geometry its state is overwritten where it
+// lies, which allocates nothing; otherwise a state of the new geometry
+// is built. Either way the generation advances, so compiled plans
+// recompile, and the tree keeps no reference to s.
+//
+//swat:noalloc
 func (t *Tree) ResetToSummary(s *Summary) error {
-	st, err := stateFromSummary(s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return err
 	}
-	t.install(st)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.n != s.WindowSize || t.k != s.Coefficients || t.minLevel != s.MinLevel {
+		st, err := newState(s.options())
+		if err != nil {
+			// Unreachable: Validate checked the geometry.
+			return err
+		}
+		st.generation = t.generation
+		t.treeState = *st
+	}
+	t.load(s)
+	t.generation++
 	return nil
 }

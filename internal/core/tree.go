@@ -24,10 +24,11 @@
 // # Reader/writer discipline
 //
 // A Tree is internally synchronized with a single readers–writer lock:
-// Update, UpdateBatch, and UnmarshalBinary take the writer side; every
-// query entry point (Approximate, PointQuery, InnerProduct, RangeQuery,
-// AnswerBatch, CoverNodes, Nodes, VisitNodes, Plan.Eval, MarshalBinary,
-// Ready, ...) takes the reader side. Any number of goroutines may
+// Update, UpdateBatch, ResetToSummary, MergeSummary and UnmarshalBinary
+// take the writer side; every query entry point (Approximate,
+// PointQuery, InnerProduct, RangeQuery, AnswerBatch, CoverNodes, Nodes,
+// VisitNodes, Plan.Eval, MarshalBinary, Ready, ...) takes the reader
+// side. Any number of goroutines may
 // therefore answer queries on one tree concurrently — query scratch
 // lives in a sync.Pool, not on the tree — while ingest proceeds from
 // another goroutine. A writer blocks until in-flight queries drain and
@@ -104,8 +105,8 @@ type node struct {
 
 // Tree is a SWAT approximation tree. It is safe for concurrent use
 // under the package's reader/writer discipline: the internal lock
-// serializes writers (Update, UpdateBatch, UnmarshalBinary) against
-// each other and against queries, while queries from any number of
+// serializes writers (Update, UpdateBatch, ResetToSummary, ...)
+// against each other and against queries, while queries from any number of
 // goroutines run concurrently.
 type Tree struct {
 	mu sync.RWMutex
@@ -113,8 +114,8 @@ type Tree struct {
 }
 
 // treeState holds all mutable tree data behind the lock, separated from
-// Tree so UnmarshalBinary can replace the state wholesale without
-// copying the lock.
+// Tree so ResetToSummary can replace the state of another geometry
+// wholesale without copying the lock.
 type treeState struct {
 	n        int // window size N
 	levels   int // log2 N
@@ -151,9 +152,10 @@ type treeState struct {
 	// on: node validity, coefficient contents, and covered-age
 	// boundaries. Every arrival slides the boundaries of the nodes it
 	// does not refresh (Start = arrivals − birth), so the generation
-	// advances once per arrival; UnmarshalBinary bumps it too, since a
-	// restore replaces node buffers outright. Plans compare generations
-	// to detect staleness (see plan.go).
+	// advances once per arrival; every install (ResetToSummary, which
+	// UnmarshalBinary and MergeSummary run) bumps it too, since it
+	// rewrites node contents. Plans compare generations to detect
+	// staleness (see plan.go).
 	generation uint64
 
 	// rawScratch gathers the finest level's raw segment out of the ring
@@ -224,8 +226,9 @@ func (t *treeState) rolesAt(l int) int {
 	return 3
 }
 
-// Tree geometry accessors read fields that only UnmarshalBinary can
-// change, so they take the read lock like every other reader.
+// Tree geometry accessors read fields that only ResetToSummary (and so
+// UnmarshalBinary and MergeSummary) can change, so they take the read
+// lock like every other reader.
 
 // WindowSize returns N.
 func (t *Tree) WindowSize() int {
@@ -299,16 +302,6 @@ func (t *Tree) TaintSpans() []TaintSpan {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return append([]TaintSpan(nil), t.taint...)
-}
-
-// install publishes fresh as the tree's state under the writer lock,
-// advancing the generation past the old one so compiled plans against
-// this tree observe the replacement and recompile.
-func (t *Tree) install(fresh *treeState) {
-	t.mu.Lock()
-	fresh.generation = t.generation + 1
-	t.treeState = *fresh
-	t.mu.Unlock()
 }
 
 // Generation returns the tree's query-visible version. It advances on

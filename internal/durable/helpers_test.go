@@ -52,6 +52,13 @@ func requireTreeEqual(t testing.TB, got, want *core.Tree, context string) {
 	}
 }
 
+// writeSnapshot frames body as the snapshot covering arrivals and
+// persists it the way a checkpoint does.
+func writeSnapshot(dir string, arrivals uint64, body []byte) error {
+	file := append(make([]byte, snapHdrLen, snapHdrLen+len(body)), body...)
+	return writeSnapshotFile(dir, arrivals, sealSnapshot(file, arrivals))
+}
+
 // copyDir clones a store directory into a fresh temp dir, simulating
 // the on-disk state a crash would leave behind.
 func copyDir(t testing.TB, src string) string {

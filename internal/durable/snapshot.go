@@ -18,8 +18,9 @@ import (
 //
 //	"SWATCKPT" | u32 crc32c(arrivals|body) | u64 arrivals | body
 //
-// body is the tree's summary frame (Tree.MarshalBinary, which is
-// Tree.AppendSummary); this layer only frames and checksums it.
+// body is the tree's summary frame (Tree.AppendSummary, which is
+// Tree.MarshalBinary), appended straight after the header's room in the
+// file's buffer; this layer only frames and checksums it.
 // Files are named snap-<arrivals>.ckpt and written tmp-then-rename with
 // fsyncs on both the file and the directory, so a snapshot either
 // exists completely or not at all.
@@ -73,25 +74,31 @@ func listSnapshots(dir string) ([]snapInfo, error) {
 	return snaps, nil
 }
 
-// writeSnapshot atomically persists a snapshot covering the given
-// arrival count.
-func writeSnapshot(dir string, arrivals uint64, body []byte) error {
-	buf := make([]byte, 0, len(snapMagic)+12+len(body))
-	buf = append(buf, snapMagic...)
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[4:], arrivals)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	crc := codec.Checksum(buf[len(snapMagic)+4:])
-	binary.BigEndian.PutUint32(buf[len(snapMagic):], crc)
+// snapHdrLen is the framing ahead of a snapshot's body: the magic, the
+// CRC and the arrival count.
+const snapHdrLen = len(snapMagic) + 4 + 8
 
+// sealSnapshot completes a snapshot file in place and returns it: file
+// holds snapHdrLen bytes of room and then the body, so the body is
+// written once, straight into the file's buffer. It fills in the
+// magic, the arrival count and the CRC over both.
+func sealSnapshot(file []byte, arrivals uint64) []byte {
+	copy(file, snapMagic)
+	binary.BigEndian.PutUint64(file[len(snapMagic)+4:], arrivals)
+	binary.BigEndian.PutUint32(file[len(snapMagic):], codec.Checksum(file[len(snapMagic)+4:]))
+	return file
+}
+
+// writeSnapshotFile atomically persists a sealed snapshot file covering
+// the given arrival count.
+func writeSnapshotFile(dir string, arrivals uint64, file []byte) error {
 	path := filepath.Join(dir, snapName(arrivals))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot tmp: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(file); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("durable: snapshot write: %w", err)
@@ -119,7 +126,7 @@ func readSnapshot(path string) (uint64, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(data) < len(snapMagic)+12 || string(data[:len(snapMagic)]) != snapMagic {
+	if len(data) < snapHdrLen || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, nil, fmt.Errorf("durable: %s: not a snapshot", filepath.Base(path))
 	}
 	wantCRC := binary.BigEndian.Uint32(data[len(snapMagic):])

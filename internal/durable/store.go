@@ -29,6 +29,7 @@ type Store struct {
 
 	arrivals uint64 // durable arrival counter, == tree.Arrivals()
 	lastCkpt uint64 // arrivals at the newest snapshot
+	ckptBody int    // the newest snapshot's body length, a size hint
 	info     RecoveryInfo
 	closed   bool
 }
@@ -189,11 +190,11 @@ func (s *Store) Checkpoint() error {
 // checkpointLocked snapshots the tree, rotates the WAL, and prunes
 // snapshots and segments the retained snapshots cover. Caller holds mu.
 func (s *Store) checkpointLocked() error {
-	body, err := s.tree.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := writeSnapshot(s.dir, s.arrivals, body); err != nil {
+	// The summary is appended straight after the header's room, sized
+	// by the previous checkpoint's body.
+	file := s.tree.AppendSummary(make([]byte, snapHdrLen, snapHdrLen+s.ckptBody))
+	s.ckptBody = len(file) - snapHdrLen
+	if err := writeSnapshotFile(s.dir, s.arrivals, sealSnapshot(file, s.arrivals)); err != nil {
 		return err
 	}
 	s.lastCkpt = s.arrivals

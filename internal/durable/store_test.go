@@ -1,6 +1,9 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,4 +222,40 @@ func TestStaleSnapshotTmpRemoved(t *testing.T) {
 		t.Errorf("stale tmp survived reopen: %v", err)
 	}
 	requireTreeEqual(t, st2.Tree(), goldenTree(t, flatten(batches)), "after tmp cleanup")
+}
+
+// TestSnapshotFileFraming pins a checkpoint's file byte for byte to the
+// snapshot framing, built here independently of the store:
+// "SWATCKPT" | u32 crc32c(arrivals|body) | u64 arrivals | body, where
+// body is the tree's MarshalBinary. A second checkpoint (sized by the
+// first) is pinned the same way.
+func TestSnapshotFileFraming(t *testing.T) {
+	dir := t.TempDir()
+	tree := freshTree(t)
+	st, err := Open(dir, tree, Options{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	values := flatten(seededBatches(11, 60))
+	for _, part := range [][]float64{values[:len(values)/3], values[len(values)/3:]} {
+		if err := st.Append(part); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		arrivals := uint64(tree.Arrivals())
+		got, err := os.ReadFile(filepath.Join(dir, snapName(arrivals)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered := binary.BigEndian.AppendUint64(nil, arrivals)
+		covered = append(covered, treeBytes(t, goldenTree(t, values[:arrivals]))...)
+		want := append([]byte("SWATCKPT"), binary.BigEndian.AppendUint32(nil, crc32.Checksum(covered, crc32.MakeTable(crc32.Castagnoli)))...)
+		want = append(want, covered...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("snapshot at %d arrivals: %d bytes differ from the %d-byte framing", arrivals, len(got), len(want))
+		}
+	}
 }

@@ -144,6 +144,9 @@ func warm(s *core.Summary) bool {
 // resharding (see internal/cluster.Rebalance). Unlike MergeSummary
 // nothing is folded: afterwards the stream is exactly the tree the
 // summary was exported from. An unregistered name is registered first.
+// The install copies s into the stream's tree — in place when the
+// geometry matches, without allocating — and keeps no reference to it,
+// so the caller may reuse s at once (see core.DecodeSummaryInto).
 // Durable monitors refuse, for the same reason merges do: the WAL
 // replays raw arrivals and cannot reproduce an installed state.
 func (m *Monitor) InstallSummary(name string, s *core.Summary) error {

@@ -586,7 +586,9 @@ func (s *Server) handleMigCommit(bc *binConn, payload []byte) error {
 
 // installBundle verifies a complete assembly's CRC and installs every
 // entry of the bundle it holds, in index order, each decoded just
-// before its install so only one decoded summary is live at a time. An
+// before its install into one scratch Summary that the whole bundle
+// reuses: an install copies the summary into the stream's tree, so
+// entries into existing streams of one geometry allocate nothing. An
 // entry that fails to decode or install stops the commit with the
 // entries before it installed: like any install of an uncommitted
 // migration they are inert until a ring routes to them, and a retried
@@ -600,15 +602,15 @@ func (s *Server) installBundle(asm *core.SummaryAssembly) error {
 	if err != nil {
 		return err
 	}
+	var sum core.Summary
 	for _, en := range entries {
 		if len(en.Name) > maxStreamName {
 			return errStreamName
 		}
-		sum, err := core.DecodeSummary(en.Summary)
-		if err != nil {
+		if err := core.DecodeSummaryInto(&sum, en.Summary); err != nil {
 			return fmt.Errorf("wire: bundle entry %q: %w", en.Name, err)
 		}
-		if err := s.monitor.InstallSummary(en.Name, sum); err != nil {
+		if err := s.monitor.InstallSummary(en.Name, &sum); err != nil {
 			return err
 		}
 	}

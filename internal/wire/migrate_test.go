@@ -551,3 +551,87 @@ func FuzzDecodeMigFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestInstallBundleCostsPerBundle pins what a commit costs the new
+// owner: installBundle — the work of a migCommit once the transfer is
+// assembled — allocates per bundle, not per entry. A bundle of 8
+// summaries into existing streams allocates exactly as often as one of
+// 64, because every entry decodes into one scratch Summary and is
+// copied into its stream's tree in place. Each install is checked to
+// have landed byte for byte.
+func TestInstallBundleCostsPerBundle(t *testing.T) {
+	opts := multi.Options{WindowSize: 256, Coefficients: 4}
+	srv, err := NewServer(core.Options{WindowSize: opts.WindowSize, Coefficients: opts.Coefficients})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Logf = t.Logf
+	mon, err := multi.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := mon.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := srv.UseMonitor(mon); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const streams = 64
+	names := make([]string, streams)
+	srcs := make([]*core.Tree, streams)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%02d", i)
+		if err := mon.Add(names[i]); err != nil {
+			t.Fatal(err)
+		}
+		if srcs[i], err = core.New(core.Options{WindowSize: opts.WindowSize, Coefficients: opts.Coefficients}); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < 2*opts.WindowSize+i; v++ {
+			srcs[i].Update(float64((v*7+i)%41) * 0.25)
+		}
+	}
+	install := func(n int) float64 {
+		xfer, err := core.NewBundleTransfer(names[:n], srcs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := xfer.Chunk(0, int(xfer.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm, err := core.NewSummaryAssembly(xfer.Len(), xfer.CRC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := asm.Append(0, data); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if err := srv.installBundle(asm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(20, run)
+		for i, name := range names[:n] {
+			tr, err := mon.Tree(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(tr.AppendSummary(nil), srcs[i].AppendSummary(nil)) {
+				t.Fatalf("stream %q differs from its source after the install", name)
+			}
+		}
+		return allocs
+	}
+	small, large := install(8), install(streams)
+	if small != large {
+		t.Errorf("installing a bundle of 8 allocates %v times, one of %d %v times; want the same", small, streams, large)
+	}
+	t.Logf("a bundle install allocates %v times", large)
+}
